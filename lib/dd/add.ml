@@ -303,8 +303,6 @@ let apply2 m op a b =
 let add m a b = apply2 m Plus a b
 let sub m a b = apply2 m Minus a b
 let mul m a b = apply2 m Times a b
-let pointwise_min m a b = apply2 m Min a b
-let pointwise_max m a b = apply2 m Max a b
 
 let map_leaves m f t =
   let memo = Hashtbl.create 64 in
@@ -577,22 +575,6 @@ let sweep m =
   Ct.clear2 m.ite_cache;
   m.ob_generation <- m.ob_generation + 1;
   Hashtbl.reset m.size_memo
-
-let migrate target t =
-  let memo = Hashtbl.create 1024 in
-  let rec go t =
-    match Hashtbl.find_opt memo (node_id t) with
-    | Some r -> r
-    | None ->
-      let r =
-        match t with
-        | Leaf l -> const target l.value
-        | Node n -> mk target n.var (go n.low) (go n.high)
-      in
-      Hashtbl.add memo (node_id t) r;
-      r
-  in
-  go t
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic variable reordering — the ADD twin of the engine in Bdd (see

@@ -64,8 +64,6 @@ val add : manager -> t -> t -> t
 
 val sub : manager -> t -> t -> t
 val mul : manager -> t -> t -> t
-val pointwise_min : manager -> t -> t -> t
-val pointwise_max : manager -> t -> t -> t
 
 val scale : manager -> float -> t -> t
 (** Multiply every terminal by a constant — the paper's [add_times]. *)
@@ -150,12 +148,7 @@ val allocated : manager -> int
     rebuilt in place at a capacity fitted to the survivors.  Hash-consing
     canonicity is preserved across a sweep — live nodes stay physically
     equal, and the computed tables are invalidated so dead results cannot
-    resurface.  {!Perf} counters keep running across a sweep.
-
-    {!migrate} remains for {e cross-manager} composition (copying a model
-    into another manager's id space); within one manager, sweeping is
-    strictly cheaper than migrating because surviving nodes are not
-    re-allocated. *)
+    resurface.  {!Perf} counters keep running across a sweep. *)
 
 val protect : manager -> t -> unit
 (** Register a diagram as a GC root (refcounted: protect twice, unprotect
@@ -172,10 +165,6 @@ val sweep : manager -> unit
 (** Mark-and-sweep: keep exactly the nodes reachable from the protected
     roots, rebuild the unique and leaf tables in place, invalidate the
     computed tables.  Unreachable nodes become garbage for the OCaml GC. *)
-
-val migrate : manager -> t -> t
-(** Structurally copy a diagram into another manager.  The result lives in
-    [target]; the source manager can then be dropped. *)
 
 (** {1 Variable order and dynamic reordering}
 

@@ -12,169 +12,12 @@ let strategy_name = function
   | Upper_bound -> "upper-bound"
   | Lower_bound -> "lower-bound"
 
-let score strategy (s : Add_stats.t) =
-  match strategy with
-  | Average -> s.variance
-  | Upper_bound -> Add_stats.mse_upper s
-  | Lower_bound -> Add_stats.mse_lower s
-
-let replacement strategy (s : Add_stats.t) =
-  match strategy with
-  | Average -> s.avg
-  | Upper_bound -> s.max
-  | Lower_bound -> s.min
-
-(* ------------------------------------------------------------------ *)
-(* Dense view of a diagram: nodes in parents-first topological order,
-   children resolved to indices.  All per-node quantities (statistics,
-   Markov masses and moments, collapse scores) live in flat arrays, which
-   is what makes repeated compression during model construction cheap. *)
-
-type dense = {
-  nodes : Add.t array;          (* parents-first; nodes.(0) is the root *)
-  var : int array;              (* -1 for leaves *)
-  low : int array;              (* child indices; -1 for leaves *)
-  high : int array;
-  leaf_value : float array;     (* meaningful when var = -1 *)
-  (* uniform statistics *)
-  avg : float array;
-  variance : float array;
-  minv : float array;
-  maxv : float array;
-}
-
-let dense_of root =
-  let order = Add.fold_nodes root ~init:[] ~f:(fun acc n -> n :: acc) in
-  let nodes = Array.of_list order in
-  let count = Array.length nodes in
-  let index : (int, int) Hashtbl.t = Hashtbl.create (2 * count) in
-  Array.iteri (fun i n -> Hashtbl.replace index (Add.node_id n) i) nodes;
-  let var = Array.make count (-1) in
-  let low = Array.make count (-1) in
-  let high = Array.make count (-1) in
-  let leaf_value = Array.make count 0.0 in
-  Array.iteri
-    (fun i node ->
-      match node with
-      | Add.Leaf l -> leaf_value.(i) <- l.value
-      | Add.Node n ->
-        var.(i) <- n.var;
-        low.(i) <- Hashtbl.find index (Add.node_id n.low);
-        high.(i) <- Hashtbl.find index (Add.node_id n.high))
-    nodes;
-  let avg = Array.make count 0.0 in
-  let variance = Array.make count 0.0 in
-  let minv = Array.make count 0.0 in
-  let maxv = Array.make count 0.0 in
-  (* children appear after parents in the order, so a reverse sweep is
-     bottom-up *)
-  for i = count - 1 downto 0 do
-    if var.(i) < 0 then begin
-      avg.(i) <- leaf_value.(i);
-      minv.(i) <- leaf_value.(i);
-      maxv.(i) <- leaf_value.(i)
-    end
-    else begin
-      let l = low.(i) and h = high.(i) in
-      let a = 0.5 *. (avg.(l) +. avg.(h)) in
-      avg.(i) <- a;
-      variance.(i) <-
-        0.5
-        *. (variance.(l)
-           +. ((avg.(l) -. a) ** 2.0)
-           +. variance.(h)
-           +. ((avg.(h) -. a) ** 2.0));
-      minv.(i) <- Float.min minv.(l) minv.(h);
-      maxv.(i) <- Float.max maxv.(l) maxv.(h)
-    end
-  done;
-  { nodes; var; low; high; leaf_value; avg; variance; minv; maxv }
-
-(* Markov analysis on the dense view: per-node-and-context masses
-   (top-down) and conditional moments (bottom-up).  Context encodes the
-   pending initial-copy value threaded between a variable pair's two
-   levels; see {!Markov} for the measure.  Layout: index 3i + ctx. *)
-let dense_markov d (a : Markov.statistics) =
-  let count = Array.length d.nodes in
-  let mass = Array.make (3 * count) 0.0 in
-  let m1 = Array.make (3 * count) 0.0 in
-  let m2 = Array.make (3 * count) 0.0 in
-  let p_toggle_from_low = Markov.p_toggle_given ~initial:false a in
-  let p_toggle_from_high = Markov.p_toggle_given ~initial:true a in
-  let p_high i ctx =
-    let v = d.var.(i) in
-    if v land 1 = 0 then a.Markov.sp
-    else
-      match ctx with
-      | 1 -> p_toggle_from_low
-      | 2 -> 1.0 -. p_toggle_from_high
-      | _ -> a.Markov.sp
-  in
-  let child_ctx i branch child =
-    if d.var.(i) land 1 = 0 && d.var.(child) = d.var.(i) + 1 then
-      if branch then 2 else 1
-    else 0
-  in
-  (* moments, bottom-up; even-variable and leaf nodes are
-     context-insensitive so all three slots share one value *)
-  for i = count - 1 downto 0 do
-    if d.var.(i) < 0 then begin
-      let v = d.leaf_value.(i) in
-      for ctx = 0 to 2 do
-        m1.((3 * i) + ctx) <- v;
-        m2.((3 * i) + ctx) <- v *. v
-      done
-    end
-    else begin
-      let l = d.low.(i) and h = d.high.(i) in
-      let lc = child_ctx i false l and hc = child_ctx i true h in
-      for ctx = 0 to 2 do
-        let p = p_high i ctx in
-        m1.((3 * i) + ctx) <-
-          ((1.0 -. p) *. m1.((3 * l) + lc)) +. (p *. m1.((3 * h) + hc));
-        m2.((3 * i) + ctx) <-
-          ((1.0 -. p) *. m2.((3 * l) + lc)) +. (p *. m2.((3 * h) + hc))
-      done
-    end
-  done;
-  (* masses, top-down *)
-  mass.(0) <- 1.0;
-  for i = 0 to count - 1 do
-    if d.var.(i) >= 0 then begin
-      let l = d.low.(i) and h = d.high.(i) in
-      let lc = child_ctx i false l and hc = child_ctx i true h in
-      for ctx = 0 to 2 do
-        let m = mass.((3 * i) + ctx) in
-        if m > 0.0 then begin
-          let p = p_high i ctx in
-          mass.((3 * l) + lc) <- mass.((3 * l) + lc) +. ((1.0 -. p) *. m);
-          mass.((3 * h) + hc) <- mass.((3 * h) + hc) +. (p *. m)
-        end
-      done
-    end
-  done;
-  (mass, m1, m2)
-
-(* Context-mixed (mass, E[f | reach], E[f^2 | reach]) of node i. *)
-let mixed (mass, m1, m2) i ~default1 ~default2 =
-  let t = mass.(3 * i) +. mass.((3 * i) + 1) +. mass.((3 * i) + 2) in
-  if t <= 0.0 then (0.0, default1, default2)
-  else begin
-    let acc1 = ref 0.0 and acc2 = ref 0.0 in
-    for ctx = 0 to 2 do
-      acc1 := !acc1 +. (mass.((3 * i) + ctx) *. m1.((3 * i) + ctx));
-      acc2 := !acc2 +. (mass.((3 * i) + ctx) *. m2.((3 * i) + ctx))
-    done;
-    (t, !acc1 /. t, !acc2 /. t)
-  end
-
-(* A collapse plan over the dense view: priority-sorted candidate indices
+(* A collapse plan over the flat view: priority-sorted candidate indices
    and the constant each would be replaced with. *)
 type plan = {
-  dense : dense;
+  view : Markov.view;
   ranked : int array;        (* internal-node indices, cheapest first *)
   values : float array;      (* replacement constant per index *)
-  scores : float array;      (* collapse priority per index *)
 }
 
 (* Exponent balancing absolute against relative damage across anchors:
@@ -184,79 +27,72 @@ type plan = {
 let norm_exponent = 0.5
 
 let make_plan strategy weighting root =
-  let d = dense_of root in
+  let d = Markov.view root in
+  let s = Markov.summary d in
   let count = Array.length d.nodes in
   let values = Array.make count 0.0 in
   let scores = Array.make count infinity in
-  (match weighting with
-  | Unweighted ->
+  (* the paper's criterion, scaled by a per-node reach weight: the uniform
+     average / max / min replaces the node, ranked by its own variance
+     (average strategy) or Eq. 8 mse (bound strategies) *)
+  let by_own_damage weight =
     for i = 0 to count - 1 do
       if d.var.(i) >= 0 then begin
         values.(i) <-
           (match strategy with
-          | Average -> d.avg.(i)
-          | Upper_bound -> d.maxv.(i)
-          | Lower_bound -> d.minv.(i));
+          | Average -> s.avg.(i)
+          | Upper_bound -> s.max.(i)
+          | Lower_bound -> s.min.(i));
         scores.(i) <-
-          (match strategy with
-          | Average -> d.variance.(i)
-          | Upper_bound ->
-            d.variance.(i) +. ((d.maxv.(i) -. d.avg.(i)) ** 2.0)
-          | Lower_bound ->
-            d.variance.(i) +. ((d.minv.(i) -. d.avg.(i)) ** 2.0))
-      end
-    done
-  | Uniform_mass ->
-    let mass = dense_markov d Markov.uniform in
-    for i = 0 to count - 1 do
-      if d.var.(i) >= 0 then begin
-        let m, _, _ = mixed mass i ~default1:d.avg.(i) ~default2:0.0 in
-        values.(i) <-
-          (match strategy with
-          | Average -> d.avg.(i)
-          | Upper_bound -> d.maxv.(i)
-          | Lower_bound -> d.minv.(i));
-        scores.(i) <-
-          m
+          weight i
           *.
           (match strategy with
-          | Average -> d.variance.(i)
-          | Upper_bound ->
-            d.variance.(i) +. ((d.maxv.(i) -. d.avg.(i)) ** 2.0)
-          | Lower_bound ->
-            d.variance.(i) +. ((d.minv.(i) -. d.avg.(i)) ** 2.0))
+          | Average -> s.variance.(i)
+          | Upper_bound -> Markov.mse_upper s i
+          | Lower_bound -> Markov.mse_lower s i)
       end
     done
+  in
+  (match weighting with
+  | Unweighted -> by_own_damage (fun _ -> 1.0)
+  | Uniform_mass ->
+    let mass = Markov.masses d Markov.uniform in
+    by_own_damage (fun i ->
+        mass.(3 * i) +. mass.((3 * i) + 1) +. mass.((3 * i) + 2))
   | Robust anchors ->
     let anchors = if anchors = [] then Markov.default_anchors else anchors in
-    let tables = List.map (dense_markov d) anchors in
+    let tables =
+      List.map (fun a -> (Markov.masses d a, Markov.moments d a)) anchors
+    in
     (* each anchor's damage is normalized by the mean capacitance under
        that anchor raised to [norm_exponent]: the evaluation metric is
        relative error, and an absolute error of 5 fF matters more when
        the expected capacitance is 10 than when it is 70 *)
     let norms =
       List.map
-        (fun t ->
-          let _, e1, _ = mixed t 0 ~default1:d.avg.(0) ~default2:0.0 in
+        (fun (mass, mom) ->
+          let _, e1, _ =
+            Markov.mixed mass mom 0 ~default1:s.avg.(0) ~default2:0.0
+          in
           1.0 /. Float.max 1e-12 (Float.abs e1 ** norm_exponent))
         tables
     in
     let pairs = List.combine tables norms in
     for i = 0 to count - 1 do
       if d.var.(i) >= 0 then begin
-        let default1 = d.avg.(i)
-        and default2 = d.variance.(i) +. (d.avg.(i) ** 2.0) in
+        let default1 = s.avg.(i)
+        and default2 = s.variance.(i) +. (s.avg.(i) ** 2.0) in
         let ms =
           List.map
-            (fun (t, norm) ->
-              let m, e1, e2 = mixed t i ~default1 ~default2 in
+            (fun ((mass, mom), norm) ->
+              let m, e1, e2 = Markov.mixed mass mom i ~default1 ~default2 in
               (m, e1, e2, norm))
             pairs
         in
         let r =
           match strategy with
-          | Upper_bound -> d.maxv.(i)
-          | Lower_bound -> d.minv.(i)
+          | Upper_bound -> s.max.(i)
+          | Lower_bound -> s.min.(i)
           | Average ->
             (* the constant minimizing the summed normalized damage *)
             let num, den =
@@ -265,7 +101,7 @@ let make_plan strategy weighting root =
                   (num +. (norm *. m *. e1), den +. (norm *. m)))
                 (0.0, 0.0) ms
             in
-            if den <= 0.0 then d.avg.(i) else num /. den
+            if den <= 0.0 then s.avg.(i) else num /. den
         in
         values.(i) <- r;
         scores.(i) <-
@@ -285,13 +121,13 @@ let make_plan strategy weighting root =
     (fun a b ->
       match compare scores.(a) scores.(b) with 0 -> compare a b | c -> c)
     ranked;
-  { dense = d; ranked; values; scores }
+  { view = d; ranked; values }
 
 (* Size of the collapse of the first [k] candidates, without building it:
    kept internal nodes reachable from the root avoiding collapsed ones,
    plus the distinct leaf constants of the result. *)
 let probe_size plan k =
-  let d = plan.dense in
+  let d = plan.view in
   let count = Array.length d.nodes in
   let collapsed = Array.make count false in
   for i = 0 to k - 1 do
@@ -317,7 +153,7 @@ let probe_size plan k =
   !internal + Hashtbl.length leaves
 
 let build_collapse mgr plan k =
-  let d = plan.dense in
+  let d = plan.view in
   let count = Array.length d.nodes in
   let collapsed = Array.make count false in
   for i = 0 to k - 1 do
@@ -392,15 +228,3 @@ let compress ?(weighting = default_weighting) ?(resift = false) mgr ~strategy
       (fun () -> ignore (Add.sift ~group_pairs:true mgr : Add.sift_stats))
   end;
   result
-
-let collapse_below ?(weighting = default_weighting) mgr ~strategy ~threshold
-    root =
-  Perf.note_collapse (Add.perf mgr);
-  let plan = make_plan strategy weighting root in
-  (* ranked is sorted by score, so the below-threshold set is a prefix *)
-  let k = ref 0 in
-  let total = Array.length plan.ranked in
-  while !k < total && plan.scores.(plan.ranked.(!k)) <= threshold do
-    incr k
-  done;
-  build_collapse mgr plan !k

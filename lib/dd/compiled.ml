@@ -206,9 +206,11 @@ let compile ?order ?vars root_node =
   let n_leaves = Add.size root_node - n_nodes in
   let code = Array.make (3 * n_nodes) 0 in
   let leaves = Array.make n_leaves 0.0 in
-  (* old node id -> encoded reference; parents are numbered before their
-     children (preorder), which is what puts a low spine on consecutive
-     triples *)
+  (* old node id -> encoded reference; nodes are numbered in preorder,
+     which is what puts a low spine on consecutive triples.  A shared
+     child keeps the number of its first visit, so it can precede a
+     parent reached later: the numbering is not topological.  It is the
+     store's byte layout, so it stays independent of Markov.view. *)
   let memo = Hashtbl.create (2 * (n_nodes + n_leaves)) in
   let next_node = ref 0 in
   let next_leaf = ref 0 in

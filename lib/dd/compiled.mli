@@ -107,12 +107,18 @@ val block : int
 
 (** {1 Serialization support}
 
-    The triple program {e is} the model's reachable DAG (parents numbered
-    before children, children referenced by triple offset or [lnot leaf]),
-    so persisting [(vars, code, leaves, root)] is enough to reconstruct
-    the diagram exactly: {!Powermodel.Store} rebuilds the ADD bottom-up
-    through the ordinary hash-consing constructor and recompiles, which
-    reproduces these arrays bit for bit. *)
+    The triple program {e is} the model's reachable DAG (numbered in
+    depth-first preorder with sharing, children referenced by triple
+    offset or [lnot leaf]), so persisting [(vars, code, leaves, root)] is
+    enough to reconstruct the diagram exactly: {!Powermodel.Store}
+    rebuilds the ADD bottom-up through the ordinary hash-consing
+    constructor and recompiles, which reproduces these arrays bit for
+    bit.  The numbering is not topological: a shared child is numbered
+    when first reached, so it can sit at a smaller slot than a parent
+    reached later; only the level order guarantees children come after
+    parents.  This order is the store's byte layout, which is why the
+    program keeps its own walker instead of the parents-first
+    {!Markov.view} the analytic passes use. *)
 
 type repr = {
   r_vars : int;  (** environment width ({!vars}) *)

@@ -1,5 +1,6 @@
-(** Exact node masses and conditional moments of a transition ADD under
-    Markov input statistics.
+(** The flat view every analytic pass over a diagram runs on: the paper's
+    Eq. 5–8 statistics, and exact node masses and conditional moments of
+    a transition ADD under Markov input statistics.
 
     The collapse criterion of {!Approx} must decide how much damage
     replacing a sub-ADD by a constant does.  Under the uniform measure the
@@ -26,18 +27,66 @@ val default_anchors : statistics list
     of toggle rates at [sp = 0.5] plus skewed signal probabilities. *)
 
 val p_toggle_given : initial:bool -> statistics -> float
-(** Markov toggle probability conditioned on the initial value. *)
+(** Markov toggle probability conditioned on the initial value; [0] when
+    [st = 0]. *)
 
-type tables
+(** {1 Flat view} *)
 
-val analyze : statistics -> Add.t -> tables
-(** One top-down (masses) and one bottom-up (moments) traversal; O(nodes)
-    per statistics point. *)
+type view = {
+  nodes : Add.t array;  (** parents-first; [nodes.(0)] is the root *)
+  var : int array;  (** [-1] for leaves *)
+  low : int array;  (** child indices; [-1] for leaves *)
+  high : int array;
+  leaf_value : float array;  (** meaningful where [var = -1] *)
+}
 
-val node_mass : tables -> int -> float
-(** Reach probability of a node (by id), all contexts combined. *)
+val view : Add.t -> view
+(** Every node reachable from the root, once, in parents-first
+    topological order ([Add.fold_nodes] reversed).  The per-node passes
+    below return arrays indexed like [nodes]. *)
 
-val node_moments : tables -> int -> default:(float * float) -> float * float * float
-(** [(mass, E[f | reach], E[f^2 | reach])] of a node's subfunction under
-    the analyzed statistics, mixing contexts by their masses.  Unreachable
-    nodes report zero mass and the supplied default moments. *)
+(** {1 Uniform statistics (Eq. 5–8)} *)
+
+type summary = {
+  avg : float array;  (** uniform-input average of the sub-function (Eq. 6) *)
+  variance : float array;  (** uniform-input variance (Eq. 5) *)
+  min : float array;  (** smallest terminal value of the sub-function *)
+  max : float array;  (** largest terminal value of the sub-function *)
+}
+
+val summary : view -> summary
+(** One bottom-up pass of the Eq. 7 recursion (leaves have [avg = value],
+    [variance = 0]). *)
+
+val mse_upper : summary -> int -> float
+(** Mean square error incurred by replacing node [i]'s sub-function with
+    its maximum (Eq. 8): [variance + (max - avg)^2]. *)
+
+val mse_lower : summary -> int -> float
+(** Symmetric quantity for lower bounds: [variance + (min - avg)^2]. *)
+
+(** {1 Markov passes}
+
+    Per node and pending-partner context, at index [3 * i + ctx]; context
+    [0] is "no pending partner", the root's context. *)
+
+val moments : view -> statistics -> float array * float array
+(** Bottom-up: [(E[f | reach], E[f^2 | reach])] of every node's
+    subfunction in every context.  The root is reached with mass 1 in
+    context 0, so its expectation under the statistics is
+    [(fst (moments v s)).(0)]. *)
+
+val masses : view -> statistics -> float array
+(** Top-down: reach probability of every node in every context (the root
+    has mass 1 in context 0). *)
+
+val mixed :
+  float array ->
+  float array * float array ->
+  int ->
+  default1:float ->
+  default2:float ->
+  float * float * float
+(** [mixed masses moments i] is node [i]'s [(mass, E[f | reach],
+    E[f^2 | reach])], mixing contexts by their masses.  Unreached nodes
+    report zero mass and the supplied default moments. *)

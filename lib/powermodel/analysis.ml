@@ -58,12 +58,14 @@ let worst_case_transition model =
 
 (* Exact expectation of the model under Markov statistics (sp, st): the
    analytic counterpart of running an infinite random simulation with
-   those statistics. *)
+   those statistics.  The root is reached with mass 1 in the
+   no-pending-partner context (slot 0), so its conditional first moment
+   there is the expectation and no mass pass is needed. *)
 let expected_capacitance model ~sp ~st =
-  let tables = Dd.Markov.analyze { Dd.Markov.sp; st } model.Model.cap in
-  let root_id = Dd.Add.node_id model.Model.cap in
-  let _, e1, _ = Dd.Markov.node_moments tables root_id ~default:(0.0, 0.0) in
-  e1
+  let m1, _ =
+    Dd.Markov.moments (Dd.Markov.view model.Model.cap) { Dd.Markov.sp; st }
+  in
+  m1.(0)
 
 (* Sensitivity of input j: expected capacitance given that input j toggles
    minus given that it holds, under otherwise-uniform inputs.  Computed by
@@ -99,7 +101,7 @@ let toggle_sensitivity model j =
     in
     go model.Model.cap
   in
-  let avg node = (Dd.Add_stats.of_node node).Dd.Add_stats.avg in
+  let avg node = (Dd.Markov.summary (Dd.Markov.view node)).Dd.Markov.avg.(0) in
   let toggle =
     0.5 *. (avg (restrict2 false true) +. avg (restrict2 true false))
   in

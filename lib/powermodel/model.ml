@@ -536,7 +536,8 @@ let run_compiled ?jobs c vectors =
     total = s.Dd.Compiled.total;
   }
 
-let average_capacitance t = (Dd.Add_stats.of_node t.cap).Dd.Add_stats.avg
+let average_capacitance t =
+  (Dd.Markov.summary (Dd.Markov.view t.cap)).Dd.Markov.avg.(0)
 
 let max_capacitance t = Dd.Add.max_value t.cap
 

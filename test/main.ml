@@ -19,6 +19,7 @@ let () =
       ("journal", Test_journal.suite);
       ("durable", Test_durable.suite);
       ("add-stats", Test_add_stats.suite);
+      ("flat-view", Test_flat_view.suite);
       ("approx", Test_approx.suite);
       ("cell", Test_cell.suite);
       ("circuit", Test_circuit.suite);

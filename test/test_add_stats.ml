@@ -47,46 +47,44 @@ let brute_stats spec =
   let vmax = List.fold_left Float.max neg_infinity values in
   (avg, variance, vmin, vmax)
 
+(* Eq. 5-8 statistics of the root (index 0 of the flat view). *)
+let root_summary t = Dd.Markov.summary (Dd.Markov.view t)
+
 let test_root_stats =
   Util.qtest ~count:300 "avg/var/min/max equal brute force" arbitrary
     (fun spec ->
-      let t = build spec in
-      let s = Dd.Add_stats.of_node t in
+      let s = root_summary (build spec) in
       let avg, variance, vmin, vmax = brute_stats spec in
-      Util.close ~eps:1e-6 s.Dd.Add_stats.avg avg
-      && Util.close ~eps:1e-6 s.Dd.Add_stats.variance variance
-      && Util.close s.Dd.Add_stats.min vmin
-      && Util.close s.Dd.Add_stats.max vmax)
+      Util.close ~eps:1e-6 s.avg.(0) avg
+      && Util.close ~eps:1e-6 s.variance.(0) variance
+      && Util.close s.min.(0) vmin
+      && Util.close s.max.(0) vmax)
 
 let test_mse_formulas =
   Util.qtest ~count:100 "Eq. 8: mse = var + (max - avg)^2" arbitrary
     (fun spec ->
-      let s = Dd.Add_stats.of_node (build spec) in
+      let s = root_summary (build spec) in
       Util.close ~eps:1e-6
-        (Dd.Add_stats.mse_upper s)
-        (s.Dd.Add_stats.variance
-        +. ((s.Dd.Add_stats.max -. s.Dd.Add_stats.avg) ** 2.0))
+        (Dd.Markov.mse_upper s 0)
+        (s.variance.(0) +. ((s.max.(0) -. s.avg.(0)) ** 2.0))
       && Util.close ~eps:1e-6
-           (Dd.Add_stats.mse_lower s)
-           (s.Dd.Add_stats.variance
-           +. ((s.Dd.Add_stats.min -. s.Dd.Add_stats.avg) ** 2.0)))
+           (Dd.Markov.mse_lower s 0)
+           (s.variance.(0) +. ((s.min.(0) -. s.avg.(0)) ** 2.0)))
+
+(* Reach probability of view node [i], all contexts combined. *)
+let node_mass mass i = mass.(3 * i) +. mass.((3 * i) + 1) +. mass.((3 * i) + 2)
 
 let test_mass_conservation =
   Util.qtest ~count:100 "uniform mass: root 1, leaves sum to 1" arbitrary
     (fun spec ->
-      let t = build spec in
-      let mass = Dd.Add_stats.mass t in
-      let leaf_mass =
-        Dd.Add.fold_nodes t ~init:0.0 ~f:(fun acc node ->
-            match node with
-            | Dd.Add.Leaf _ ->
-              acc +. Option.value
-                       (Hashtbl.find_opt mass (Dd.Add.node_id node))
-                       ~default:0.0
-            | Dd.Add.Node _ -> acc)
-      in
-      Util.close ~eps:1e-9 1.0 leaf_mass
-      && Util.close 1.0 (Hashtbl.find mass (Dd.Add.node_id t)))
+      let v = Dd.Markov.view (build spec) in
+      let mass = Dd.Markov.masses v Dd.Markov.uniform in
+      let leaf_mass = ref 0.0 in
+      Array.iteri
+        (fun i var ->
+          if var < 0 then leaf_mass := !leaf_mass +. node_mass mass i)
+        v.var;
+      Util.close ~eps:1e-9 1.0 !leaf_mass && Util.close 1.0 (node_mass mass 0))
 
 (* ---- Markov analysis over interleaved transition variables ----
 
@@ -106,6 +104,12 @@ let markov_prob (a : Dd.Markov.statistics) x_i x_f =
     p := !p *. pi *. pf
   done;
   !p
+
+(* Context-mixed (mass, E[f], E[f^2]) of the root under [stats]. *)
+let root_moments stats t =
+  let v = Dd.Markov.view t in
+  Dd.Markov.mixed (Dd.Markov.masses v stats) (Dd.Markov.moments v stats) 0
+    ~default1:0.0 ~default2:0.0
 
 let transitions () =
   List.concat_map
@@ -130,10 +134,7 @@ let test_markov_expectation =
     (fun (spec, (sp, st)) ->
       let t = build spec in
       let stats_point = { Dd.Markov.sp; st } in
-      let tables = Dd.Markov.analyze stats_point t in
-      let _, e1, e2 =
-        Dd.Markov.node_moments tables (Dd.Add.node_id t) ~default:(0.0, 0.0)
-      in
+      let _, e1, e2 = root_moments stats_point t in
       let expected1 = ref 0.0 and expected2 = ref 0.0 in
       List.iter
         (fun (x_i, x_f) ->
@@ -149,25 +150,25 @@ let test_markov_uniform_matches_stats =
   Util.qtest ~count:100 "Markov at (0.5, 0.5) equals uniform statistics"
     arbitrary (fun spec ->
       let t = build spec in
-      let tables = Dd.Markov.analyze Dd.Markov.uniform t in
-      let _, e1, e2 =
-        Dd.Markov.node_moments tables (Dd.Add.node_id t) ~default:(0.0, 0.0)
-      in
-      let s = Dd.Add_stats.of_node t in
-      Util.close ~eps:1e-6 e1 s.Dd.Add_stats.avg
-      && Util.close ~eps:1e-6 (e2 -. (e1 *. e1)) s.Dd.Add_stats.variance)
+      let _, e1, e2 = root_moments Dd.Markov.uniform t in
+      let s = root_summary t in
+      Util.close ~eps:1e-6 e1 s.avg.(0)
+      && Util.close ~eps:1e-6 (e2 -. (e1 *. e1)) s.variance.(0))
 
 let unit_combine () =
   (* the paper's Ex. 4: children with avg 10 (var 0) and avg 5 (var 25)
-     combine into avg 7.5, var 18.75+... — values from Fig. 4 *)
-  let low = { Dd.Add_stats.avg = 5.0; variance = 25.0; min = 0.0; max = 10.0 } in
-  let high = { Dd.Add_stats.avg = 10.0; variance = 0.0; min = 10.0; max = 10.0 } in
-  let n = Dd.Add_stats.combine low high in
-  Util.check_close "avg" 7.5 n.Dd.Add_stats.avg;
-  Util.check_close "var" 18.75 n.Dd.Add_stats.variance;
+     combine into avg 7.5, var 18.75+... — values from Fig. 4.  The low
+     child is a node over leaves 0 and 10, the high child the leaf 10. *)
+  let ten = Dd.Add.const mgr 10.0 in
+  let low =
+    Dd.Add.ite mgr (Dd.Bdd.var bdd_mgr 1) ten (Dd.Add.const mgr 0.0)
+  in
+  let n = root_summary (Dd.Add.ite mgr (Dd.Bdd.var bdd_mgr 0) ten low) in
+  Util.check_close "avg" 7.5 n.avg.(0);
+  Util.check_close "var" 18.75 n.variance.(0);
   (* Ex. 5: max = 10, mse = var + (max-avg)^2 = 18.75 + 6.25 = 25 *)
-  Util.check_close "max" 10.0 n.Dd.Add_stats.max;
-  Util.check_close "mse" 25.0 (Dd.Add_stats.mse_upper n)
+  Util.check_close "max" 10.0 n.max.(0);
+  Util.check_close "mse" 25.0 (Dd.Markov.mse_upper n 0)
 
 let suite =
   [

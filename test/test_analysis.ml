@@ -55,7 +55,26 @@ let expected_capacitance_matches_enumeration () =
         (Printf.sprintf "E[C] at (%.1f, %.1f)" sp st)
         !expected
         (Powermodel.Analysis.expected_capacitance model ~sp ~st))
-    [ (0.5, 0.5); (0.5, 0.1); (0.3, 0.2) ]
+    [ (0.5, 0.5); (0.5, 0.1); (0.3, 0.2); (0.0, 0.0); (1.0, 0.0) ]
+
+(* A chain that never toggles from a constant start holds every input at
+   0 (sp = 0) or 1 (sp = 1): the expectation is the model's value on that
+   hold transition, with no 0 / 0 in the toggle probability. *)
+let expectation_at_degenerate_statistics () =
+  List.iter
+    (fun circuit ->
+      let model = Powermodel.Model.build circuit in
+      let n = model.Powermodel.Model.inputs in
+      List.iter
+        (fun sp ->
+          let x = Array.make n (sp = 1.0) in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s E[C] at (%.0f, 0)"
+               circuit.Netlist.Circuit.name sp)
+            (Powermodel.Model.switched_capacitance model ~x_i:x ~x_f:x)
+            (Powermodel.Analysis.expected_capacitance model ~sp ~st:0.0))
+        [ 0.0; 1.0 ])
+    [ Circuits.Decoder.decod (); Circuits.Comparator.cm85 () ]
 
 let sensitivity_matches_enumeration () =
   let circuit = Util.small_random_circuit 23 in
@@ -179,6 +198,8 @@ let suite =
       `Quick memoized_traversal_matches_reference;
     Alcotest.test_case "expected capacitance" `Slow
       expected_capacitance_matches_enumeration;
+    Alcotest.test_case "expectation at sp in {0, 1}, st = 0" `Quick
+      expectation_at_degenerate_statistics;
     Alcotest.test_case "toggle sensitivity" `Slow sensitivity_matches_enumeration;
     Alcotest.test_case "sensitivities array" `Quick sensitivities_array;
     Alcotest.test_case "bound witness" `Quick bound_witness_attains_constant_bound;

@@ -103,17 +103,6 @@ let test_full_collapse_average =
       && Dd.Add.min_value r >= Dd.Add.min_value t -. 1e-9
       && Dd.Add.max_value r <= Dd.Add.max_value t +. 1e-9)
 
-let test_collapse_below_zero_threshold =
-  Util.qtest ~count:50 "threshold below any score changes nothing" arbitrary
-    (fun spec ->
-      let t = build spec in
-      let r =
-        Dd.Approx.collapse_below ~weighting:Dd.Approx.Unweighted mgr
-          ~strategy:Dd.Approx.Average ~threshold:(-1.0) t
-      in
-      (* no node has negative variance, so nothing collapses *)
-      Dd.Add.size r = Dd.Add.size t)
-
 let unit_invalid_max () =
   let t = Dd.Add.const mgr 1.0 in
   Alcotest.check_raises "max_size 0"
@@ -157,5 +146,4 @@ let suite =
     test_upper_bound_conservative;
     test_lower_bound_conservative;
     test_full_collapse_average;
-    test_collapse_below_zero_threshold;
   ]

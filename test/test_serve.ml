@@ -119,7 +119,22 @@ let test_ops_answer () =
   let j = parse_response "expectation" raw in
   (match Json.to_float (member_exn "expectation" "result" j) with
   | Some v -> Alcotest.(check (float 0.0)) "expectation" expect v
-  | None -> Alcotest.fail "expectation: non-numeric result")
+  | None -> Alcotest.fail "expectation: non-numeric result");
+  (* a never-toggling chain at sp = 0 is accepted and answers the all-0
+     hold value, a number rather than null *)
+  let raw =
+    ok_or_fail "expectation at (0, 0)"
+      (request sock
+         {|{"id":4,"op":"expectation","model":"model.cfpm","sp":0,"st":0}|})
+  in
+  let hold =
+    Powermodel.Model.switched_capacitance model
+      ~x_i:(Array.make inputs false) ~x_f:(Array.make inputs false)
+  in
+  let j = parse_response "expectation at (0, 0)" raw in
+  (match Json.to_float (member_exn "expectation at (0, 0)" "result" j) with
+  | Some v -> Alcotest.(check (float 0.0)) "expectation at (0, 0)" hold v
+  | None -> Alcotest.failf "expectation at (0, 0): non-numeric result %s" raw)
 
 let test_unknown_op () =
   with_server @@ fun ~dir:_ ~model:_ ~meta:_ ~sock ~server:_ ~handler:_ ->
