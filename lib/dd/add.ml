@@ -18,6 +18,7 @@ let of_bdd_bits = 14
 type manager = {
   mutable next_id : int;
   leaves : (int64, t) Hashtbl.t; (* keyed by IEEE bits for exact sharing *)
+  mutable neg_zero : bool; (* a -0.0 leaf was ever made (see {!identity}) *)
   (* Unique (hash-consing) table: open addressing with linear probing over
      parallel int arrays keyed by the (var, low, high) triple; [u_var] = -1
      marks an empty slot.  Power-of-two capacity, grown at 50% load and
@@ -72,6 +73,7 @@ let manager ?perf () =
   {
     next_id = 0;
     leaves = Hashtbl.create 256;
+    neg_zero = false;
     u_var = Array.make n (-1);
     u_low = Array.make n 0;
     u_high = Array.make n 0;
@@ -149,10 +151,9 @@ let const m value =
     Ct.check_id m.next_id;
     let l = Leaf { id = m.next_id; value } in
     m.next_id <- m.next_id + 1;
+    if value = 0.0 && Float.sign_bit value then m.neg_zero <- true;
     Hashtbl.add m.leaves bits l;
     l
-
-let uhash v l h = Ct.mix (v lxor (l * 0x85EBCA77) lxor (h * 0xC2B2AE3D))
 
 let grow_unique m =
   let old_var = m.u_var
@@ -168,7 +169,7 @@ let grow_unique m =
   for i = 0 to Array.length old_var - 1 do
     let v = old_var.(i) in
     if v >= 0 then begin
-      let j = ref (uhash v old_low.(i) old_high.(i) land mask) in
+      let j = ref (Ct.uhash v old_low.(i) old_high.(i) land mask) in
       while u_var.(!j) >= 0 do
         j := (!j + 1) land mask
       done;
@@ -206,7 +207,7 @@ let mk m v low high =
       else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then m.u_node.(i)
       else probe ((i + 1) land mask)
     in
-    probe (uhash v il ih land mask)
+    probe (Ct.uhash v il ih land mask)
   end
 
 let of_bdd m ?(one_value = 1.0) ?(zero_value = 0.0) b =
@@ -266,12 +267,37 @@ let cofactors f v =
   | Node n when n.var = v -> (n.low, n.high)
   | Leaf _ | Node _ -> (f, f)
 
+let is_one = function Leaf l -> l.value = 1.0 | Node _ -> false
+
+(* -0.0 is a unit of +; +0.0 only for operands free of -0.0 leaves, because
+   -0.0 + 0.0 is +0.0.  The manager records whether it ever made one. *)
+let plus_unit m = function
+  | Leaf l -> l.value = 0.0 && (Float.sign_bit l.value || not m.neg_zero)
+  | Node _ -> false
+
+(* Terminal identities of [apply2], tried before the computed table.  Each
+   holds bit for bit at every leaf value (a signalling NaN aside, which no
+   arithmetic here makes), so the result is the very node the recursion
+   would rebuild, and no node is made.  [x * 0] is left out: inf * 0 is
+   NaN and -x * 0 is -0.0. *)
+let identity m op a b =
+  match op with
+  | Plus ->
+    if plus_unit m b then Some a else if plus_unit m a then Some b else None
+  | Minus -> None
+  | Times -> if is_one b then Some a else if is_one a then Some b else None
+  | Min | Max -> if a == b then Some a else None
+
 let apply2 m op a b =
   let tag = op_tag op in
   let ctr = m.c_apply.(tag) in
   let commutative = is_commutative op in
   let cache = m.cache in
   let rec go a b =
+    match identity m op a b with
+    | Some r -> r
+    | None -> probe a b
+  and probe a b =
     let ia = node_id a and ib = node_id b in
     (* Normalize commutative operand order for better cache hits. *)
     let a, b, ia, ib =
@@ -555,7 +581,7 @@ let sweep m =
       | Leaf _ -> ()
       | Node nd ->
         let il = node_id nd.low and ih = node_id nd.high in
-        let j = ref (uhash nd.var il ih land mask) in
+        let j = ref (Ct.uhash nd.var il ih land mask) in
         while m.u_var.(!j) >= 0 do
           j := (!j + 1) land mask
         done;
@@ -605,7 +631,7 @@ let delete_key m v il ih =
     else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then i
     else find ((i + 1) land mask)
   in
-  let i = find (uhash v il ih land mask) in
+  let i = find (Ct.uhash v il ih land mask) in
   m.u_var.(i) <- -1;
   m.u_node.(i) <- dummy;
   m.u_count <- m.u_count - 1;
@@ -617,7 +643,7 @@ let delete_key m v il ih =
     and n' = m.u_node.(!j) in
     m.u_var.(!j) <- -1;
     m.u_node.(!j) <- dummy;
-    let k = ref (uhash v' l' h' land mask) in
+    let k = ref (Ct.uhash v' l' h' land mask) in
     while m.u_var.(!k) >= 0 do
       k := (!k + 1) land mask
     done;
@@ -635,7 +661,7 @@ let insert_node m node =
     let il = node_id n.low and ih = node_id n.high in
     if 2 * (m.u_count + 1) >= Array.length m.u_var then grow_unique m;
     let mask = Array.length m.u_var - 1 in
-    let i = ref (uhash n.var il ih land mask) in
+    let i = ref (Ct.uhash n.var il ih land mask) in
     while m.u_var.(!i) >= 0 do
       i := (!i + 1) land mask
     done;

@@ -129,8 +129,6 @@ let one = True
 
 let of_bool b = if b then True else False
 
-let uhash v l h = Ct.mix (v lxor (l * 0x85EBCA77) lxor (h * 0xC2B2AE3D))
-
 let grow_unique m =
   let old_var = m.u_var
   and old_low = m.u_low
@@ -146,7 +144,7 @@ let grow_unique m =
     let v = old_var.(i) in
     if v >= 0 then begin
       (* keys are unique, so reinsertion only needs an empty slot *)
-      let j = ref (uhash v old_low.(i) old_high.(i) land mask) in
+      let j = ref (Ct.uhash v old_low.(i) old_high.(i) land mask) in
       while u_var.(!j) >= 0 do
         j := (!j + 1) land mask
       done;
@@ -185,7 +183,7 @@ let mk m v low high =
       else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then m.u_node.(i)
       else probe ((i + 1) land mask)
     in
-    probe (uhash v il ih land mask)
+    probe (Ct.uhash v il ih land mask)
   end
 
 let var m i =
@@ -537,7 +535,7 @@ let delete_key m v il ih =
     else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then i
     else find ((i + 1) land mask)
   in
-  let i = find (uhash v il ih land mask) in
+  let i = find (Ct.uhash v il ih land mask) in
   m.u_var.(i) <- -1;
   m.u_node.(i) <- False;
   m.u_count <- m.u_count - 1;
@@ -549,7 +547,7 @@ let delete_key m v il ih =
     and n' = m.u_node.(!j) in
     m.u_var.(!j) <- -1;
     m.u_node.(!j) <- False;
-    let k = ref (uhash v' l' h' land mask) in
+    let k = ref (Ct.uhash v' l' h' land mask) in
     while m.u_var.(!k) >= 0 do
       k := (!k + 1) land mask
     done;
@@ -570,7 +568,7 @@ let insert_node m node =
     let il = node_id n.low and ih = node_id n.high in
     if 2 * (m.u_count + 1) >= Array.length m.u_var then grow_unique m;
     let mask = Array.length m.u_var - 1 in
-    let i = ref (uhash n.var il ih land mask) in
+    let i = ref (Ct.uhash n.var il ih land mask) in
     while m.u_var.(!i) >= 0 do
       i := (!i + 1) land mask
     done;
@@ -621,7 +619,7 @@ let sweep_roots m roots =
       | False | True -> ()
       | Node nd ->
         let il = node_id nd.low and ih = node_id nd.high in
-        let j = ref (uhash nd.var il ih land mask) in
+        let j = ref (Ct.uhash nd.var il ih land mask) in
         while m.u_var.(!j) >= 0 do
           j := (!j + 1) land mask
         done;

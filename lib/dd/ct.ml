@@ -22,13 +22,23 @@ let check_var v =
 let pack op a b = (op lsl (2 * id_bits)) lor (a lsl id_bits) lor b
 let pack2 a b = (a lsl id_bits) lor b
 
-(* Fibonacci-style multiplicative mix; multiplication wraps, which is fine
-   for slot selection. *)
+(* Slot hash for every table in the kernel: the splitmix64 finalizer, its
+   multipliers with the top bit cleared to fit a 63-bit OCaml int (both
+   stay odd).  Every input bit reaches the low output bits that a
+   [land mask] slot index keeps.  A single multiply-and-fold is not enough
+   for packed keys: the first id sits at bit 29, above the bits a 16-bit
+   fold of the product carries into the slot, so keys differing only in it
+   pile into a few slots and every apply recursion thrashes. *)
 let mix x =
-  let h = x * 0x9E3779B1 in
-  h lxor (h lsr 16)
+  let h = (x lxor (x lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let h = (h lxor (h lsr 27)) * 0x14D049BB133111EB in
+  h lxor (h lsr 31)
 
 let mix2 a b = mix (a lxor (b * 0x85EBCA77))
+
+(* Unique-table hash of a (var, low id, high id) triple, shared by the BDD
+   and ADD managers. *)
+let uhash v l h = mix (v lxor (l * 0x85EBCA77) lxor (h * 0xC2B2AE3D))
 
 (* --------------------------------------------------------------------- *)
 (* Direct-mapped, lossy caches: fixed power-of-two capacity, one probe,

@@ -14,6 +14,7 @@ let () =
       ("bdd", Test_bdd.suite);
       ("add", Test_add.suite);
       ("perf", Test_perf.suite);
+      ("ct", Test_ct.suite);
       ("kernel", Test_kernel.suite);
       ("parallel", Test_parallel.suite);
       ("journal", Test_journal.suite);
