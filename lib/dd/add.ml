@@ -122,8 +122,6 @@ let ensure_order m n =
     m.invperm <- Array.init n (fun i -> if i < len then m.invperm.(i) else i)
   end
 
-let order m = Array.copy m.invperm
-
 let set_order m ord =
   if m.u_count > 0 then
     invalid_arg "Add.set_order: manager already contains nodes";
@@ -327,27 +325,7 @@ let apply2 m op a b =
   go a b
 
 let add m a b = apply2 m Plus a b
-let sub m a b = apply2 m Minus a b
 let mul m a b = apply2 m Times a b
-
-let map_leaves m f t =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo (node_id t) with
-    | Some r -> r
-    | None ->
-      let r =
-        match t with
-        | Leaf l -> const m (f l.value)
-        | Node n -> mk m n.var (go n.low) (go n.high)
-      in
-      Hashtbl.add memo (node_id t) r;
-      r
-  in
-  go t
-
-let scale m c t = if c = 1.0 then t else map_leaves m (fun v -> c *. v) t
-let offset m c t = if c = 0.0 then t else map_leaves m (fun v -> c +. v) t
 
 let ite m guard g h =
   let cache = m.ite_cache in
@@ -513,8 +491,6 @@ let max_value t =
 
 let make_node = mk
 
-let allocated m = m.next_id
-
 (* ------------------------------------------------------------------ *)
 (* Root-registered mark-and-sweep.  [protect]/[unprotect] maintain a
    refcount per root; [sweep] keeps exactly the nodes reachable from the
@@ -603,16 +579,37 @@ let sweep m =
   Hashtbl.reset m.size_memo
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic variable reordering — the ADD twin of the engine in Bdd (see
-   the block comment there for the swap mechanics, the canonicity
-   argument and the liveness discipline).  Differences: terminals are
-   value-keyed leaves, which are never deleted during a session (leaf
-   reuse cannot break canonicity; a later {!sweep} prunes the dead
-   ones), roots come from the manager's protect table, and invalidation
-   additionally bumps the of_bdd generation and resets the size memo —
-   stamp-based size queries stay sound because ids never change, but the
-   per-root size memo would be stale the moment a swap reshapes the
-   diagram under an unchanged root id. *)
+(* Dynamic variable reordering: CUDD-style sifting over in-place
+   adjacent-level swaps.
+
+   The swap of levels l and l+1 (variables u and v) rewrites exactly the
+   u-nodes that have a v-child, in place: such a node keeps its id and
+   physical identity but becomes a v-node over fresh-or-shared u-children
+   built from the four grandcofactors, so every parent pointer and every
+   denoted function is preserved.  u-nodes without a v-child simply
+   change level (their var stays u), and v-nodes are untouched except
+   that some may lose their last parent and die.  Unique-table keys never
+   collide during the rewrite: a (v, new_low, new_high) entry would
+   denote the same function as the rewritten node, and canonicity says
+   that function had exactly one live representative before the swap —
+   the node being rewritten.
+
+   Liveness is tracked with a per-session refcount (parents + root
+   pins); nodes that drop to zero are deleted from the open-addressing
+   table immediately (backward-shift deletion), cascading to their
+   children, so the table always holds exactly the live node set and
+   sifting's size objective is honest.  Terminals are value-keyed
+   leaves, which are never deleted during a session (leaf reuse cannot
+   break canonicity; a later {!sweep} prunes the dead ones).  Roots come
+   from the manager's protect table.
+
+   At the end of a session the computed tables are invalidated (ids are
+   never reused and functions are preserved, but a cached result could
+   name a node whose table entry died, and resurrecting it would break
+   canonicity), the of_bdd generation is bumped and the size memo is
+   reset — stamp-based size queries stay sound because ids never change,
+   but the per-root size memo would be stale the moment a swap reshapes
+   the diagram under an unchanged root id. *)
 
 type sift_stats = {
   swaps : int;

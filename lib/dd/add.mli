@@ -4,9 +4,10 @@
     The paper represents the switching-capacitance function
     [C(x_i, x_f)] as an ADD built from the BDDs of the netlist's node
     functions (Eq. 4 / Fig. 6).  This module provides the symbolic operators
-    the pseudo-code of Fig. 6 relies on ([of_bdd], [scale] = [add_times],
-    [add] = [add_sum], [size] = [add_size]) plus the generic apply machinery
-    and evaluation.
+    the pseudo-code of Fig. 6 relies on ([of_bdd] with [one_value] fusing
+    the conversion with [add_times], [add] = [add_sum], [size] =
+    [add_size]) plus the generic apply machinery, evaluation and the
+    package's only dynamic-reordering engine.
 
     Like {!Bdd}, nodes are hash-consed per {!manager}; leaves are shared by
     exact floating-point value. *)
@@ -62,18 +63,7 @@ val apply2 : manager -> binop -> t -> t -> t
 val add : manager -> t -> t -> t
 (** Pointwise sum — the paper's [add_sum]. *)
 
-val sub : manager -> t -> t -> t
 val mul : manager -> t -> t -> t
-
-val scale : manager -> float -> t -> t
-(** Multiply every terminal by a constant — the paper's [add_times]. *)
-
-val offset : manager -> float -> t -> t
-(** Add a constant to every terminal. *)
-
-val map_leaves : manager -> (float -> float) -> t -> t
-(** Apply an arbitrary function to every terminal value (memoized within the
-    call).  The function must be well-defined on every terminal. *)
 
 (** {1 Queries} *)
 
@@ -135,10 +125,6 @@ val make_node : manager -> int -> t -> t -> t
     variables greater than [v]) — used by {!Approx} to rebuild diagrams
     bottom-up. *)
 
-val allocated : manager -> int
-(** Total nodes ever hash-consed in this manager.  Monotone: {!sweep}
-    frees memory but never reuses ids. *)
-
 (** {1 Memory management}
 
     The unique table retains every intermediate result, so a long
@@ -179,10 +165,6 @@ val sweep : manager -> unit
 val level : manager -> int -> int
 (** Current level of a variable (identity for variables never reordered). *)
 
-val order : manager -> int array
-(** Snapshot of the level-to-variable map ([order.(l)] is the variable at
-    level [l]); empty for a fresh manager in natural order. *)
-
 val var_order : manager -> vars:int -> int array
 (** [var_order m ~vars] is the variables [0 .. vars-1] sorted by current
     level — the level-to-variable order restricted to the first [vars]
@@ -206,7 +188,7 @@ val sift :
   sift_stats
 (** Sifting pass over the protected roots: every variable (or, with
     [group_pairs], every adjacent (even, odd) variable pair, moved as a
-    unit so pair-based analyses such as {!Powermodel.Markov} stay exact)
+    unit so pair-based analyses such as {!Markov} stay exact)
     is moved through all levels by adjacent swaps and parked at the best
     position seen.  A variable's walk is abandoned early when the live
     node count exceeds [max_growth] (default 1.2) times its starting

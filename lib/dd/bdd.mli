@@ -1,28 +1,25 @@
 (** Reduced ordered binary decision diagrams (ROBDDs).
 
     This is the Boolean half of the decision-diagram package the paper builds
-    its models with (the authors used CUDD; we implement the same interface
-    surface from scratch).  Nodes are hash-consed inside a {!manager}, so two
-    structurally equal diagrams built in the same manager are physically
-    equal, and equality tests are [==].
+    its models with (the authors used CUDD; we implement from scratch the
+    operations model construction runs).  Nodes are hash-consed inside a
+    {!manager}, so two structurally equal diagrams built in the same manager
+    are physically equal, and equality tests are [==].
 
     Variables are non-negative integers.  By default the variable order is
-    the natural integer order (variable 0 closest to the root); every
-    manager carries a variable-to-level permutation that {!set_order} and
-    the reordering operations below ({!sift}, {!swap_adjacent}) update, and
-    all ordered operations compare variables through it.  All operations
-    are memoized in per-manager caches. *)
+    the natural integer order (variable 0 closest to the root); {!set_order}
+    installs another static order before any node exists, and all ordered
+    operations compare variables through it.  Live reordering happens on
+    the ADD side only ({!Add.sift}, {!Add.reorder_to}).  All operations are
+    memoized in per-manager caches. *)
 
 type t = private
   | False
   | True
-  | Node of { id : int; mutable var : int; mutable low : t; mutable high : t }
+  | Node of { id : int; var : int; low : t; high : t }
       (** [Node {var; low; high}] is [if var then high else low].  Invariant:
           [low != high] and both children sit on strictly deeper levels than
-          [var] under the manager's current order.  The fields are mutable
-          only for the in-place level swaps of the reordering engine — they
-          never change the function a node denotes, and outside a reordering
-          call diagrams are immutable. *)
+          [var] under the manager's order. *)
 
 type manager
 (** Mutable state: unique table and operation caches.  Diagrams from
@@ -42,13 +39,18 @@ val node_count : manager -> int
 
 val perf : manager -> Perf.t
 (** The manager's performance counters: computed-table hits/misses per
-    operation ({e not}, {e and}, {e or}, {e xor}, {e ite}, {e exists},
-    {e shift}) and the peak node count.  The computed tables are
-    direct-mapped and lossy, so an evicted entry counts as a miss when
-    re-probed. *)
+    operation ({e not}, {e and}, {e or}, {e xor}, {e shift}) and the peak
+    node count.  The computed tables are direct-mapped and lossy, so an
+    evicted entry counts as a miss when re-probed. *)
 
 val unique_size : manager -> int
 (** Current number of entries in the unique (hash-consing) table. *)
+
+val set_order : manager -> int array -> unit
+(** [set_order m ord] installs the static order [ord] (level-to-variable, a
+    permutation of [0 .. n-1]; variables [>= n] keep their natural level).
+    Only valid on a manager with no internal nodes yet — raises
+    [Invalid_argument] otherwise, and on a non-permutation. *)
 
 (** {1 Construction} *)
 
@@ -61,37 +63,14 @@ val var : manager -> int -> t
 (** [var m i] is the projection function of variable [i].  Raises
     [Invalid_argument] if [i < 0]. *)
 
-val nvar : manager -> int -> t
-(** Negated projection, [not (var m i)]. *)
-
 (** {1 Boolean operations} *)
 
 val bnot : manager -> t -> t
 val band : manager -> t -> t -> t
 val bor : manager -> t -> t -> t
 val bxor : manager -> t -> t -> t
-val bnand : manager -> t -> t -> t
-val bnor : manager -> t -> t -> t
-val bxnor : manager -> t -> t -> t
-val bimply : manager -> t -> t -> t
-
-val ite : manager -> t -> t -> t -> t
-(** [ite m f g h] is [if f then g else h]. *)
 
 val band_list : manager -> t list -> t
-val bor_list : manager -> t list -> t
-
-(** {1 Cofactors and quantification} *)
-
-val restrict : manager -> t -> var:int -> value:bool -> t
-(** Cofactor with respect to a literal. *)
-
-val exists : manager -> int list -> t -> t
-(** Existential quantification of the listed variables.  Memoized on
-    (variable, node) in the manager's computed table, so the memo survives
-    across the variables of one call and across calls. *)
-
-val forall : manager -> int list -> t -> t
 
 val shift : manager -> int -> t -> t
 (** [shift m k f] renames every variable [v] of [f] to [v + k].  Under the
@@ -124,69 +103,7 @@ val eval : t -> bool array -> bool
 val size : t -> int
 (** Number of distinct nodes reachable from the root, terminals included. *)
 
-val support : t -> int list
-(** Sorted list of variables the function actually depends on. *)
-
 val sat_fraction : t -> float
 (** Probability that [f] is true when every variable is an independent fair
     coin — i.e. the signal probability of the function under uniform inputs.
     Exact, computed by a memoized traversal. *)
-
-val any_sat : t -> (int * bool) list option
-(** One satisfying partial assignment (variable, value), or [None] for
-    [False]. *)
-
-(** {1 Variable order and dynamic reordering}
-
-    A manager maps variables to {e levels} (depth from the root); the maps
-    are the identity until changed.  {!set_order} installs a static order
-    before any node exists; {!sift} and {!swap_adjacent} reorder live
-    diagrams in place — node identity, ids and denoted functions are all
-    preserved, so existing references stay valid and [eval] results are
-    bit-for-bit unchanged. *)
-
-val level : manager -> int -> int
-(** Current level of a variable (identity for variables never reordered). *)
-
-val order : manager -> int array
-(** Snapshot of the level-to-variable map ([order.(l)] is the variable at
-    level [l]); empty for a fresh manager in natural order. *)
-
-val set_order : manager -> int array -> unit
-(** [set_order m ord] installs the static order [ord] (level-to-variable, a
-    permutation of [0 .. n-1]).  Only valid on a manager with no internal
-    nodes yet — raises [Invalid_argument] otherwise, and on a non-
-    permutation. *)
-
-type sift_stats = {
-  swaps : int;       (** adjacent-level swaps performed *)
-  size_before : int; (** live internal nodes when sifting started *)
-  size_after : int;  (** live internal nodes when it finished *)
-  capped : bool;     (** stopped early by [max_swaps] *)
-}
-
-val sift :
-  ?group_pairs:bool ->
-  ?max_growth:float ->
-  ?max_swaps:int ->
-  manager ->
-  roots:t list ->
-  sift_stats
-(** Sifting pass: every variable (or, with [group_pairs], every adjacent
-    (even, odd) variable pair, moved as a unit so pair-based analyses stay
-    exact) is moved through all levels by adjacent swaps and parked at the
-    best position seen.  A variable's walk is abandoned early when the live
-    node count exceeds [max_growth] (default 1.2) times its starting value.
-    [max_swaps] bounds the total number of adjacent swaps; the pass stops
-    before a variable whose worst-case walk no longer fits, so a capped
-    sift still leaves a consistent order ([capped] reports it).
-
-    Everything not reachable from [roots] is swept away first (the
-    unique table then equals the live set sifting minimizes).  All
-    computed tables are invalidated.  Deterministic: same manager history,
-    roots and arguments produce the same final order and sizes. *)
-
-val swap_adjacent : manager -> roots:t list -> int -> unit
-(** [swap_adjacent m ~roots lvl] performs the single adjacent-level swap of
-    levels [lvl] and [lvl + 1] (sweeping to [roots] first), mostly useful
-    for tests.  Functions of all surviving nodes are preserved. *)

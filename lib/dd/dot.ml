@@ -9,35 +9,6 @@ let edge buf src dst ~solid =
     (Printf.sprintf "  n%d -> n%d [style=%s];\n" src dst
        (if solid then "solid" else "dashed"))
 
-let bdd ?(name = "bdd") ?(var_name = default_var_name) root =
-  let buf = Buffer.create 1024 in
-  header name buf;
-  let seen = Hashtbl.create 64 in
-  let rec go node =
-    let id = Bdd.node_id node in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      match node with
-      | Bdd.False ->
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d [shape=box,label=\"0\"];\n" id)
-      | Bdd.True ->
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d [shape=box,label=\"1\"];\n" id)
-      | Bdd.Node n ->
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d [shape=circle,label=\"%s\"];\n" id
-             (var_name n.var));
-        edge buf id (Bdd.node_id n.high) ~solid:true;
-        edge buf id (Bdd.node_id n.low) ~solid:false;
-        go n.low;
-        go n.high
-    end
-  in
-  go root;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let add ?(name = "add") ?(var_name = default_var_name) root =
   let buf = Buffer.create 1024 in
   header name buf;

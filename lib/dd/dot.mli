@@ -1,11 +1,8 @@
-(** Graphviz DOT export of decision diagrams (Fig. 3-style pictures).
+(** Graphviz DOT export of ADDs (Fig. 3-style pictures).
 
     High cofactors are drawn with solid edges, low cofactors with dashed
     edges, matching the paper's figures. *)
 
-val bdd : ?name:string -> ?var_name:(int -> string) -> Bdd.t -> string
-(** DOT source for a BDD.  [var_name] labels variable indices (defaults to
-    ["x<i>"]). *)
-
 val add : ?name:string -> ?var_name:(int -> string) -> Add.t -> string
-(** DOT source for an ADD; leaves are rendered as boxed values. *)
+(** DOT source for an ADD; leaves are rendered as boxed values.
+    [var_name] labels variable indices (defaults to ["x<i>"]). *)

@@ -45,8 +45,6 @@ let rate ~hits ~misses =
   let total = hits + misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
-let hit_rate t name = rate ~hits:(hits t name) ~misses:(misses t name)
-
 let total_hits t =
   Hashtbl.fold (fun _ c acc -> acc + c.hits) t.counters 0
 

@@ -1,8 +1,10 @@
 (** Per-manager performance counters for the decision-diagram package.
 
     Every {!Bdd.manager} and {!Add.manager} owns one [Perf.t]; the hot
-    operation loops count apply-cache hits and misses into pre-fetched
-    {!counter} records (no hashing on the hot path), the hash-consing
+    operation loops count computed-table hits and misses into pre-fetched
+    {!counter} records (no hashing on the hot path) — [not], [and], [or],
+    [xor] and [shift] on the BDD side; [plus], [minus], [times], [min],
+    [max], [ite] and [of_bdd] on the ADD side — the hash-consing
     constructors track the peak allocated node count, and {!Approx}
     counts its collapse passes.  [clear_caches] on the owning manager
     resets the counters along with the caches, so a counter window always
@@ -47,9 +49,6 @@ val hits : t -> string -> int
 (** 0 for an unknown counter name. *)
 
 val misses : t -> string -> int
-
-val hit_rate : t -> string -> float
-(** [hits / (hits + misses)]; 0 when the counter never fired. *)
 
 val total_hits : t -> int
 val total_misses : t -> int

@@ -70,17 +70,6 @@ let test_apply2 =
             (Util.assignments vars))
         binop_cases)
 
-let test_scale_offset =
-  Util.qtest ~count:100 "scale and offset" add_arbitrary (fun spec ->
-      let t = build_add spec in
-      let s = Dd.Add.scale mgr 2.5 t in
-      let o = Dd.Add.offset mgr (-3.0) t in
-      List.for_all
-        (fun env ->
-          Util.close (Dd.Add.eval s env) (2.5 *. eval_spec env spec)
-          && Util.close (Dd.Add.eval o env) (eval_spec env spec -. 3.0))
-        (Util.assignments vars))
-
 let test_of_bdd =
   Util.qtest ~count:150 "of_bdd maps 0/1 to the chosen values"
     (Util.expr_arbitrary ~vars)
@@ -135,7 +124,6 @@ let suite =
     Alcotest.test_case "support" `Quick unit_support;
     test_ite_semantics;
     test_apply2;
-    test_scale_offset;
     test_of_bdd;
     test_min_max_values;
   ]

@@ -42,79 +42,11 @@ let unit_basics () =
     (Dd.Bdd.equal
        (Dd.Bdd.bnot mgr (Dd.Bdd.band mgr x y))
        (Dd.Bdd.bor mgr (Dd.Bdd.bnot mgr x) (Dd.Bdd.bnot mgr y)));
-  Alcotest.(check bool) "nvar = not var" true
-    (Dd.Bdd.equal (Dd.Bdd.nvar mgr 3) (Dd.Bdd.bnot mgr (Dd.Bdd.var mgr 3)))
-
-let unit_derived_gates () =
-  let x = Dd.Bdd.var mgr 0 and y = Dd.Bdd.var mgr 1 in
-  let envs = Util.assignments 2 in
-  let table op expect =
-    List.iter
-      (fun env ->
-        Alcotest.(check bool)
-          (Printf.sprintf "env %b %b" env.(0) env.(1))
-          (expect env.(0) env.(1))
-          (Dd.Bdd.eval (op mgr x y) env))
-      envs
-  in
-  table Dd.Bdd.bnand (fun a b -> not (a && b));
-  table Dd.Bdd.bnor (fun a b -> not (a || b));
-  table Dd.Bdd.bxnor (fun a b -> a = b);
-  table Dd.Bdd.bimply (fun a b -> (not a) || b)
-
-let unit_ite () =
-  let x = Dd.Bdd.var mgr 0
-  and y = Dd.Bdd.var mgr 1
-  and z = Dd.Bdd.var mgr 2 in
-  let f = Dd.Bdd.ite mgr x y z in
-  List.iter
-    (fun env ->
-      Alcotest.(check bool) "ite semantics"
-        (if env.(0) then env.(1) else env.(2))
-        (Dd.Bdd.eval f env))
-    (Util.assignments 3)
-
-let unit_restrict () =
-  let x = Dd.Bdd.var mgr 0 and y = Dd.Bdd.var mgr 1 in
-  let f = Dd.Bdd.bxor mgr x y in
-  Alcotest.(check bool) "f|x=1 = not y" true
-    (Dd.Bdd.equal
-       (Dd.Bdd.restrict mgr f ~var:0 ~value:true)
-       (Dd.Bdd.bnot mgr y));
-  Alcotest.(check bool) "f|x=0 = y" true
-    (Dd.Bdd.equal (Dd.Bdd.restrict mgr f ~var:0 ~value:false) y)
-
-let unit_quantifiers () =
-  let x = Dd.Bdd.var mgr 0 and y = Dd.Bdd.var mgr 1 in
-  let f = Dd.Bdd.band mgr x y in
-  Alcotest.(check bool) "exists x. x&y = y" true
-    (Dd.Bdd.equal (Dd.Bdd.exists mgr [ 0 ] f) y);
-  Alcotest.(check bool) "forall x. x&y = 0" true
-    (Dd.Bdd.is_false (Dd.Bdd.forall mgr [ 0 ] f));
-  Alcotest.(check bool) "exists both = 1" true
-    (Dd.Bdd.is_true (Dd.Bdd.exists mgr [ 0; 1 ] f))
-
-let test_exists_semantics =
-  Util.qtest ~count:150 "exists quantifies correctly"
-    (QCheck.pair (Util.expr_arbitrary ~vars) (QCheck.int_bound (vars - 1)))
-    (fun (e, v) ->
-      let f = Util.bdd_of_expr mgr e in
-      let q = Dd.Bdd.exists mgr [ v ] f in
-      List.for_all
-        (fun env ->
-          let with_v b =
-            let env = Array.copy env in
-            env.(v) <- b;
-            Util.eval_expr env e
-          in
-          Dd.Bdd.eval q env = (with_v false || with_v true))
-        (Util.assignments vars))
-
-let unit_support () =
-  let x = Dd.Bdd.var mgr 0 and z = Dd.Bdd.var mgr 2 in
-  let f = Dd.Bdd.band mgr x z in
-  Alcotest.(check (list int)) "support" [ 0; 2 ] (Dd.Bdd.support f);
-  Alcotest.(check (list int)) "support of const" [] (Dd.Bdd.support Dd.Bdd.one)
+  Alcotest.(check bool) "not var is the negated projection" true
+    (match Dd.Bdd.bnot mgr (Dd.Bdd.var mgr 3) with
+    | Dd.Bdd.Node { var = 3; low = Dd.Bdd.True; high = Dd.Bdd.False; _ } ->
+      true
+    | _ -> false)
 
 let test_sat_fraction =
   Util.qtest ~count:200 "sat_fraction equals counted fraction"
@@ -128,19 +60,6 @@ let test_sat_fraction =
       Util.close
         (float_of_int count /. float_of_int (List.length envs))
         (Dd.Bdd.sat_fraction f))
-
-let test_any_sat =
-  Util.qtest ~count:200 "any_sat returns a genuine witness"
-    (Util.expr_arbitrary ~vars)
-    (fun e ->
-      let f = Util.bdd_of_expr mgr e in
-      match Dd.Bdd.any_sat f with
-      | None -> Dd.Bdd.is_false f
-      | Some partial ->
-        (* complete the partial assignment with false *)
-        let env = Array.make vars false in
-        List.iter (fun (v, b) -> env.(v) <- b) partial;
-        Util.eval_expr env e)
 
 let unit_size () =
   let x = Dd.Bdd.var mgr 0 in
@@ -166,17 +85,10 @@ let unit_clear_caches () =
 let suite =
   [
     Alcotest.test_case "basic laws" `Quick unit_basics;
-    Alcotest.test_case "derived gates" `Quick unit_derived_gates;
-    Alcotest.test_case "ite" `Quick unit_ite;
-    Alcotest.test_case "restrict" `Quick unit_restrict;
-    Alcotest.test_case "quantifiers" `Quick unit_quantifiers;
-    Alcotest.test_case "support" `Quick unit_support;
     Alcotest.test_case "size" `Quick unit_size;
     Alcotest.test_case "errors" `Quick unit_errors;
     Alcotest.test_case "clear caches" `Quick unit_clear_caches;
     test_semantics;
     test_canonicity;
-    test_exists_semantics;
     test_sat_fraction;
-    test_any_sat;
   ]

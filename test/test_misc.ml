@@ -1,5 +1,5 @@
 (* Cross-cutting tests: variable mapping, DOT export, composition vs
-   monolithic models, cofactor identities, report rendering details. *)
+   monolithic models, report rendering details. *)
 
 let vars_mapping () =
   Alcotest.(check int) "initial" 6 (Powermodel.Vars.initial 3);
@@ -22,8 +22,6 @@ let vars_mapping () =
 
 let dot_export () =
   let mgr = Dd.Bdd.manager () in
-  let f = Dd.Bdd.bxor mgr (Dd.Bdd.var mgr 0) (Dd.Bdd.var mgr 1) in
-  let dot = Dd.Dot.bdd ~name:"xor" f in
   let count_sub needle s =
     let ln = String.length needle and ls = String.length s in
     let rec go i acc =
@@ -33,27 +31,17 @@ let dot_export () =
     in
     go 0 0
   in
-  (* xor BDD: 1 node for x0, 2 nodes for x1, 2 terminals = 5 node lines *)
-  Alcotest.(check int) "node lines" 5 (count_sub "[shape=" dot);
-  Alcotest.(check int) "edges" 6 (count_sub "->" dot);
   let amgr = Dd.Add.manager () in
   let a =
     Dd.Add.ite amgr (Dd.Bdd.var mgr 0) (Dd.Add.const amgr 2.0)
       (Dd.Add.const amgr 1.0)
   in
   let adot = Dd.Dot.add ~name:"a" a in
+  (* ite(x0, 2, 1): 1 node for x0, 2 leaves = 3 node lines, 2 edges *)
+  Alcotest.(check int) "node lines" 3 (count_sub "[shape=" adot);
+  Alcotest.(check int) "edges" 2 (count_sub "->" adot);
   Alcotest.(check bool) "add leaves rendered" true
     (count_sub "label=\"2\"" adot = 1 && count_sub "label=\"1\"" adot = 1)
-
-let cofactor_identity =
-  let mgr = Dd.Bdd.manager () in
-  Util.qtest ~count:150 "f = ite(x, f|x=1, f|x=0)"
-    (QCheck.pair (Util.expr_arbitrary ~vars:5) (QCheck.int_bound 4))
-    (fun (e, v) ->
-      let f = Util.bdd_of_expr mgr e in
-      let hi = Dd.Bdd.restrict mgr f ~var:v ~value:true in
-      let lo = Dd.Bdd.restrict mgr f ~var:v ~value:false in
-      Dd.Bdd.equal f (Dd.Bdd.ite mgr (Dd.Bdd.var mgr v) hi lo))
 
 (* An exact composition of exact models over disjoint slices must equal
    the exact model of the side-by-side circuit. *)
@@ -176,5 +164,4 @@ let suite =
       exact_bound_equals_exact_model;
     Alcotest.test_case "bounded ub dominates exact ub" `Quick
       bounded_ub_dominates_exact_ub;
-    cofactor_identity;
   ]

@@ -54,7 +54,7 @@ let json_roundtrip () =
   let m = Dd.Bdd.manager () in
   let vs = List.init 6 (Dd.Bdd.var m) in
   ignore (Dd.Bdd.band_list m vs);
-  ignore (Dd.Bdd.bor_list m vs);
+  ignore (List.fold_left (Dd.Bdd.bor m) Dd.Bdd.zero vs);
   ignore (Dd.Bdd.bxor m (List.nth vs 0) (List.nth vs 1));
   let p = Dd.Bdd.perf m in
   Dd.Perf.note_collapse p;

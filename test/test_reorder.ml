@@ -17,27 +17,6 @@ let check_permutation msg ord n =
       seen.(v) <- true)
     ord
 
-(* ---- BDD sifting: function preserved, size never grows ---- *)
-
-let qcheck_bdd_sift =
-  let vars = 6 in
-  Util.qtest ~count:80 "bdd sift preserves the function"
-    (Util.expr_arbitrary ~vars) (fun e ->
-      let mgr = Dd.Bdd.manager () in
-      let f = Util.bdd_of_expr mgr e in
-      let size0 = Dd.Bdd.size f in
-      let st = Dd.Bdd.sift mgr ~roots:[ f ] in
-      check_permutation "bdd order" (Dd.Bdd.order mgr)
-        (Array.length (Dd.Bdd.order mgr));
-      if st.Dd.Bdd.size_after > st.Dd.Bdd.size_before then
-        Alcotest.failf "sift grew the live set: %d -> %d"
-          st.Dd.Bdd.size_before st.Dd.Bdd.size_after;
-      if Dd.Bdd.size f > size0 then
-        Alcotest.failf "sift grew the root: %d -> %d" size0 (Dd.Bdd.size f);
-      List.for_all
-        (fun env -> Dd.Bdd.eval f env = Util.eval_expr env e)
-        (Util.assignments vars))
-
 (* ---- ADD sifting: every terminal value bit-for-bit unchanged ---- *)
 
 let qcheck_add_sift =
@@ -190,6 +169,33 @@ let qcheck_set_order =
           && Int64.bits_of_float (Dd.Add.eval a env)
              = Int64.bits_of_float (if Dd.Bdd.eval f_nat env then 1.5 else 0.0))
         (Util.assignments vars))
+
+(* ---- set_order rejects non-permutations and late calls ---- *)
+
+let set_order_checks () =
+  let check name set_order fresh add_node =
+    let not_perm =
+      Invalid_argument (name ^ ".set_order: not a permutation of 0..n-1")
+    in
+    Alcotest.check_raises (name ^ " duplicate") not_perm (fun () ->
+        set_order (fresh ()) [| 0; 1; 1 |]);
+    Alcotest.check_raises (name ^ " out of range") not_perm (fun () ->
+        set_order (fresh ()) [| 0; 3; 1 |]);
+    let m = fresh () in
+    add_node m;
+    Alcotest.check_raises (name ^ " after a node")
+      (Invalid_argument (name ^ ".set_order: manager already contains nodes"))
+      (fun () -> set_order m [| 1; 0 |])
+  in
+  check "Bdd" Dd.Bdd.set_order
+    (fun () -> Dd.Bdd.manager ())
+    (fun m -> ignore (Dd.Bdd.var m 0 : Dd.Bdd.t));
+  check "Add" Dd.Add.set_order
+    (fun () -> Dd.Add.manager ())
+    (fun m ->
+      ignore
+        (Dd.Add.make_node m 0 (Dd.Add.const m 0.0) (Dd.Add.const m 1.0)
+          : Dd.Add.t))
 
 (* ---- the info measure produces a valid, deterministic pair order ---- *)
 
@@ -414,7 +420,6 @@ let approx_resift () =
 
 let suite =
   [
-    qcheck_bdd_sift;
     qcheck_add_sift;
     Alcotest.test_case "pair adjacency after grouped sift" `Quick
       pair_adjacency;
@@ -422,6 +427,7 @@ let suite =
       size_stamps_after_swaps;
     Alcotest.test_case "reorder_to roundtrip" `Quick reorder_roundtrip;
     qcheck_set_order;
+    Alcotest.test_case "set_order input checks" `Quick set_order_checks;
     Alcotest.test_case "info order shape" `Quick info_order_shape;
     Alcotest.test_case "policies agree, sifting shrinks" `Quick
       policies_agree_and_sift_shrinks;

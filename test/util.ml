@@ -38,7 +38,12 @@ let rec bdd_of_expr mgr = function
   | Or (a, b) -> Dd.Bdd.bor mgr (bdd_of_expr mgr a) (bdd_of_expr mgr b)
   | Xor (a, b) -> Dd.Bdd.bxor mgr (bdd_of_expr mgr a) (bdd_of_expr mgr b)
   | Ite (c, t, e) ->
-    Dd.Bdd.ite mgr (bdd_of_expr mgr c) (bdd_of_expr mgr t) (bdd_of_expr mgr e)
+    (* (c and t) or (not c and e): the same function as ite(c, t, e), so
+       canonicity yields the same node *)
+    let c = bdd_of_expr mgr c in
+    Dd.Bdd.bor mgr
+      (Dd.Bdd.band mgr c (bdd_of_expr mgr t))
+      (Dd.Bdd.band mgr (Dd.Bdd.bnot mgr c) (bdd_of_expr mgr e))
 
 let expr_gen ~vars =
   let open QCheck.Gen in
