@@ -5,6 +5,8 @@
      info <circuit>          netlist statistics
      build <circuit>         build a model, report size/accuracy stats
      fig7a / fig7b / table1  reproduce the paper's experiments
+     bench                   every experiment, ablation and probe, with a
+                             JSON report
      dot <circuit>           dump the model ADD as Graphviz
      blif <circuit>          dump the netlist as BLIF *)
 
@@ -34,9 +36,20 @@ let max_size_arg =
   let doc = "ADD size bound (the paper's MAX); 0 means unbounded." in
   Arg.(value & opt int 0 & info [ "max-size"; "m" ] ~docv:"N" ~doc)
 
-let vectors_arg =
+(* Count flags: zero or a negative value is a usage error, rejected by
+   Cmdliner before any work starts (exit 124). *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let vectors_arg ?(default = 2000) () =
   let doc = "Vectors per evaluation run." in
-  Arg.(value & opt int 2000 & info [ "vectors" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int default & info [ "vectors" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "PRNG seed for all random streams." in
@@ -58,16 +71,12 @@ let jobs_opt jobs = if jobs <= 0 then None else Some jobs
 let trace_term =
   let doc =
     "Write a Chrome trace-event JSON of this run to $(docv) (open in \
-     Perfetto or chrome://tracing).  $(b,CFPM_TRACE) sets the same path \
-     from the environment."
+     Perfetto or chrome://tracing)."
   in
   let arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let setup path =
-    let path =
-      match path with Some _ -> path | None -> Sys.getenv_opt "CFPM_TRACE"
-    in
     match path with
     | None -> ()
     | Some p ->
@@ -84,8 +93,7 @@ let trace_term =
 let compiled_term =
   let doc =
     "Evaluate ADD models through the compiled bulk evaluator (true, the \
-     default) or the per-pattern interpreted walk (false).  \
-     $(b,CFPM_COMPILED) sets the same knob from the environment."
+     default) or the per-pattern interpreted walk (false)."
   in
   let arg =
     Arg.(
@@ -109,8 +117,7 @@ let order_term =
     "Variable-order policy for model construction: declared (default), \
      info (static information-measure order), sift (post-build sifting) \
      or info+sift.  Estimates are byte-identical across policies; only \
-     model size and build time change.  $(b,CFPM_ORDER) sets the same \
-     knob from the environment."
+     model size and build time change."
   in
   let policies =
     Arg.enum
@@ -295,7 +302,7 @@ let build_cmd =
        ~doc:"Build a power model and evaluate it against the simulator.")
     Term.(
       const run $ trace_term $ compiled_term $ order_term $ circuit_arg
-      $ max_size_arg $ strategy_arg $ weighting_arg $ vectors_arg $ seed_arg
+      $ max_size_arg $ strategy_arg $ weighting_arg $ vectors_arg () $ seed_arg
       $ budget_term)
 
 let fig7a_cmd =
@@ -306,7 +313,7 @@ let fig7a_cmd =
   Cmd.v
     (Cmd.info "fig7a" ~doc:"Reproduce Fig. 7a (RE vs st for cm85).")
     Term.(
-      const run $ trace_term $ compiled_term $ order_term $ vectors_arg
+      const run $ trace_term $ compiled_term $ order_term $ vectors_arg ()
       $ seed_arg
       $ jobs_arg)
 
@@ -318,12 +325,12 @@ let fig7b_cmd =
   Cmd.v
     (Cmd.info "fig7b" ~doc:"Reproduce Fig. 7b (ARE vs model size for cm85).")
     Term.(
-      const run $ trace_term $ compiled_term $ order_term $ vectors_arg
+      const run $ trace_term $ compiled_term $ order_term $ vectors_arg ()
       $ seed_arg
       $ jobs_arg)
 
-(* Supervision flags shared with the bench harness's environment knobs:
-   retries with deterministic backoff, and an optional resume journal. *)
+(* Supervision flags shared by table1 and bench: retries with
+   deterministic backoff, and an optional resume journal. *)
 let supervision_term =
   let retries_arg =
     let doc =
@@ -357,11 +364,21 @@ let supervision_term =
   in
   Term.(const make $ retries_arg $ backoff_arg $ resume_arg)
 
-let table1_cmd =
-  let names_arg =
-    let doc = "Circuits to include (default: all 13 rows)." in
-    Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME" ~doc)
+(* The Table 1 subset shared by table1 and bench: repeatable, each value a
+   comma-separated list; [] means every row. *)
+let only_arg =
+  let doc =
+    "Table 1 circuits to include (default: all 13 rows); an unknown name \
+     is a validation error (exit 4)."
   in
+  Term.(
+    const List.concat
+    $ Arg.(
+        value
+        & opt_all (list string) []
+        & info [ "only" ] ~docv:"NAME,..." ~doc))
+
+let table1_cmd =
   let scale_arg =
     let doc = "Scale factor applied to the Table 1 MAX bounds." in
     Arg.(value & opt float 1.0 & info [ "max-scale" ] ~docv:"S" ~doc)
@@ -422,19 +439,59 @@ let table1_cmd =
   Cmd.v
     (Cmd.info "table1" ~doc:"Reproduce Table 1 (all benchmarks).")
     Term.(
-      const run $ trace_term $ compiled_term $ order_term $ vectors_arg
-      $ seed_arg $ names_arg $ scale_arg $ jobs_arg $ supervision_term)
+      const run $ trace_term $ compiled_term $ order_term $ vectors_arg ()
+      $ seed_arg $ only_arg $ scale_arg $ jobs_arg $ supervision_term)
+
+let bench_cmd =
+  let char_vectors_arg =
+    let doc = "Characterization run length for the Con/Lin baselines." in
+    Arg.(
+      value & opt positive_int 2500 & info [ "char-vectors" ] ~docv:"N" ~doc)
+  in
+  let force_fail_arg =
+    let doc =
+      "Fail the Table 1 builds of $(docv) deterministically (repeatable): \
+       the fault-isolation drill.  The circuit is retried, then \
+       quarantined; the run still exits 0."
+    in
+    Arg.(value & opt_all string [] & info [ "force-fail" ] ~docv:"NAME" ~doc)
+  in
+  let report_arg =
+    let doc = "JSON report path." in
+    Arg.(
+      value
+      & opt string "BENCH_results.json"
+      & info [ "o"; "out" ] ~docv:"FILE" ~doc)
+  in
+  let run () () () vectors char_vectors only force_fail jobs (policy, resume)
+      out =
+    match
+      Bench.run ~vectors ~char_vectors ~only ~force_fail ~jobs:(jobs_opt jobs)
+        ~policy ~resume ~out
+    with
+    | () -> ()
+    | exception Guard.Error.Guarded e -> fail_with e
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Run every experiment, ablation and determinism probe of the \
+          evaluation and write a JSON report.")
+    Term.(
+      const run $ trace_term $ compiled_term $ order_term
+      $ vectors_arg ~default:1500 ()
+      $ char_vectors_arg $ only_arg $ force_fail_arg $ jobs_arg
+      $ supervision_term $ report_arg)
 
 let throughput_cmd =
   let transitions_arg =
     let doc = "Transitions per measured batch." in
-    Arg.(value & opt int 200_000 & info [ "transitions"; "n" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt positive_int 200_000
+      & info [ "transitions"; "n" ] ~docv:"N" ~doc)
   in
   let run () () name max_size transitions seed jobs =
-    if transitions < 1 then begin
-      Printf.eprintf "cfpm: --transitions must be at least 1\n";
-      exit 2
-    end;
     let c = find_circuit name in
     let max_size = if max_size <= 0 then None else Some max_size in
     let model = build_or_exit ?max_size c in
@@ -484,14 +541,7 @@ let throughput_cmd =
     let sink = ref 0.0 in
     let interp_s =
       time (fun () ->
-          let acc = ref 0.0 in
-          for k = 0 to n - 1 do
-            acc :=
-              !acc
-              +. Powermodel.Model.switched_capacitance model ~x_i:vectors.(k)
-                   ~x_f:vectors.(k + 1)
-          done;
-          sink := !acc)
+          sink := (Powermodel.Model.run model vectors).Powermodel.Model.total)
     in
     let batch_s =
       time (fun () ->
@@ -845,7 +895,7 @@ let serve_cmd =
   in
   let workers_arg =
     let doc = "Worker threads (concurrent in-flight requests)." in
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 4 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let pending_arg =
     let doc =
@@ -1044,7 +1094,7 @@ let stream_cmd =
   in
   let queue_arg =
     let doc = "Ingest queue capacity." in
-    Arg.(value & opt int 4096 & info [ "queue" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 4096 & info [ "queue" ] ~docv:"N" ~doc)
   in
   let sim_every_arg =
     let doc =
@@ -1223,6 +1273,6 @@ let () =
        (Cmd.group info
           [
             list_cmd; info_cmd; build_cmd; fig7a_cmd; fig7b_cmd; table1_cmd;
-            throughput_cmd; worst_cmd; import_cmd; dot_cmd; blif_cmd;
+            bench_cmd; throughput_cmd; worst_cmd; import_cmd; dot_cmd; blif_cmd;
             store_cmd; serve_cmd; query_cmd; stream_cmd;
           ]))

@@ -33,7 +33,6 @@ type options = {
   resume : bool;
   policy : Supervisor.policy;
   jobs : int option;
-  deadline : float option;
   sleep : (float -> unit) option;
 }
 
@@ -43,7 +42,6 @@ let default_options =
     resume = false;
     policy = Supervisor.default_policy;
     jobs = None;
-    deadline = None;
     sleep = None;
   }
 
@@ -117,8 +115,8 @@ let run_keyed ~options ~encode ~decode tasks =
                 | None -> ());
                 v )
           in
-          Supervisor.run ?jobs:options.jobs ?deadline:options.deadline
-            ~policy:options.policy ?sleep:options.sleep (List.map wrap to_run))
+          Supervisor.run ?jobs:options.jobs ~policy:options.policy
+            ?sleep:options.sleep (List.map wrap to_run))
   in
   let ran =
     List.map (fun (st : _ Supervisor.status) -> (st.Supervisor.key, of_status st))

@@ -25,7 +25,6 @@ type options = {
           missing journal file is an empty recovery, i.e. a fresh run) *)
   policy : Parallel.Pool.Supervisor.policy;
   jobs : int option;
-  deadline : float option;  (** per-attempt wall-clock budget, seconds *)
   sleep : (float -> unit) option;  (** backoff test seam *)
 }
 

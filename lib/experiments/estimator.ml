@@ -5,20 +5,14 @@ type t =
 
 type mode = Interpreted | Compiled
 
-(* The knob: a process-wide override (set by cfpm's --compiled flag) wins
-   over the CFPM_COMPILED environment variable; the default is the
-   compiled path, since it is the one production queries take. *)
+(* The knob: a process-wide override, set by cfpm's --compiled flag; the
+   default is the compiled path, since it is the one production queries
+   take. *)
 let override = Atomic.make None
 
 let set_mode m = Atomic.set override (Some m)
 
-let mode () =
-  match Atomic.get override with
-  | Some m -> m
-  | None -> (
-    match Sys.getenv_opt "CFPM_COMPILED" with
-    | Some ("0" | "false" | "no" | "off") -> Interpreted
-    | Some _ | None -> Compiled)
+let mode () = Option.value (Atomic.get override) ~default:Compiled
 
 let add_model model =
   match mode () with

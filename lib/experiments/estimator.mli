@@ -18,12 +18,10 @@ type mode = Interpreted | Compiled
 
 val mode : unit -> mode
 (** The active evaluation mode: {!set_mode}'s override if any, else
-    [Interpreted] when the [CFPM_COMPILED] environment variable is [0] /
-    [false] / [no] / [off], else [Compiled]. *)
+    [Compiled]. *)
 
 val set_mode : mode -> unit
-(** Process-wide override (used by [cfpm --compiled]); wins over the
-    environment. *)
+(** Process-wide override (used by [cfpm --compiled]). *)
 
 val add_model : Powermodel.Model.t -> t
 (** Wrap a model for evaluation, compiling it when {!mode} is

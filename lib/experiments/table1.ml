@@ -32,7 +32,6 @@ type config = {
   char_vectors : int;  (* characterization sample length *)
   seed : int;
   max_scale : float;   (* scales the Table 1 MAX bounds, for quick runs *)
-  deadline_seconds : float option;  (* per-circuit wall-clock budget *)
   force_fail : string list;
   (* circuits whose model build gets an impossible node ceiling — a
      deterministic failure injection for exercising fault isolation *)
@@ -44,7 +43,6 @@ let default_config =
     char_vectors = 3000;
     seed = 5;
     max_scale = 1.0;
-    deadline_seconds = None;
     force_fail = [];
   }
 
@@ -112,26 +110,28 @@ let run_entry ?(config = default_config) ?jobs (entry : Circuits.Suite.entry) =
 let selected names =
   match names with
   | None -> Circuits.Suite.all
-  | Some names -> List.filter_map Circuits.Suite.find names
-
-let selected_entries = selected
+  | Some names ->
+    List.map
+      (fun name ->
+        match Circuits.Suite.find name with
+        | Some entry -> entry
+        | None ->
+          Guard.Error.raise_
+            (Guard.Error.validation
+               ~context:
+                 [
+                   ("circuit", name);
+                   ("valid", String.concat " " Circuits.Suite.names);
+                 ]
+               (Printf.sprintf "unknown Table 1 circuit %S" name)))
+      names
 
 let run ?(config = default_config) ?names ?jobs () =
   (* one pool task per circuit; a nested run_grid inside a worker executes
      inline, so the worker count stays fixed at [jobs] *)
   Parallel.Pool.map ?jobs
     (fun entry -> run_entry ~config ?jobs entry)
-    (selected_entries names)
-
-let run_isolated ?(config = default_config) ?names ?jobs () =
-  let entries = selected_entries names in
-  let results =
-    Parallel.Pool.run_isolated ?jobs ?deadline:config.deadline_seconds
-      (List.map (fun entry () -> run_entry ~config ?jobs entry) entries)
-  in
-  List.map2
-    (fun entry result -> (entry.Circuits.Suite.name, result))
-    entries results
+    (selected names)
 
 (* ------------------------------------------------------------------ *)
 (* Journal codec.  A row must survive encode -> journal -> decode with

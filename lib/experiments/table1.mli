@@ -36,9 +36,6 @@ type config = {
   seed : int;
   max_scale : float;
       (** multiplies the Table 1 MAX bounds; < 1 for quicker runs *)
-  deadline_seconds : float option;
-      (** per-circuit wall-clock budget, enforced cooperatively by
-          {!run_isolated} (ignored by {!run} and {!run_entry}) *)
   force_fail : string list;
       (** circuits whose builds get an unsatisfiable node ceiling: a
           deterministic failure injection for exercising fault isolation
@@ -48,8 +45,10 @@ type config = {
 val default_config : config
 
 val selected : string list option -> Circuits.Suite.entry list
-(** The suite (or the named subset, in the order given, unknown names
-    dropped) — the task list every runner below iterates. *)
+(** The suite (or the named subset, in the order given) — the task list
+    every runner below iterates.  An unknown name raises
+    [Guard.Error.Guarded] with a [Validation] error whose context names
+    the circuit and lists the valid ones. *)
 
 val run_entry : ?config:config -> ?jobs:int -> Circuits.Suite.entry -> row
 (** One row, self-contained: the entry builds its own managers,
@@ -60,18 +59,8 @@ val run : ?config:config -> ?names:string list -> ?jobs:int -> unit -> row list
 (** The full table (or a named subset), in suite order.  Rows execute on
     a {!Parallel.Pool} with [jobs] workers (default
     {!Parallel.Pool.default_jobs}); results are identical for every job
-    count.  A failing circuit propagates its exception — use
-    {!run_isolated} when partial results matter. *)
-
-val run_isolated :
-  ?config:config -> ?names:string list -> ?jobs:int -> unit ->
-  (string * (row, Guard.Error.t) result) list
-(** Fault-isolated variant: one [(name, outcome)] pair per requested
-    circuit, in suite order.  A circuit that exhausts its budget (see
-    [config.deadline_seconds], [config.force_fail]) or dies on an
-    exception yields [Error] with the classified {!Guard.Error}; the
-    remaining circuits are unaffected, and their rows are identical to
-    what {!run} would produce — for every job count. *)
+    count.  A failing circuit propagates its exception; {!Durable.table1}
+    isolates and retries failures per circuit. *)
 
 val row_to_json : row -> Json.t
 (** Journal codec.  Floats round-trip bit-identically through [Json]'s

@@ -89,8 +89,8 @@ val build :
     cannot fit the ceiling — or on a deadline / collapse-ceiling hit,
     which admit no degradation — does it raise {!Build_aborted}.
 
-    [reorder] (default: the ambient {!Reorder.ambient} policy, i.e.
-    [CFPM_ORDER] unless overridden) selects the variable-order policy.
+    [reorder] (default: the ambient {!Reorder.ambient} policy)
+    selects the variable-order policy.
     Info orders are installed statically for exact builds; bounded
     builds always construct in the declared order and reorder the
     finished model in place, so the model's {e values} — and therefore

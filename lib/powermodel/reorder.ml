@@ -34,36 +34,13 @@ let of_string s =
   | "info+sift" | "info_then_sift" | "info-sift" -> Some Info_then_sift
   | _ -> None
 
-(* The knob: a process-wide override (set by cfpm's --order flag) wins
-   over the CFPM_ORDER environment variable; the default is the
-   declared circuit order — reordering is opt-in. *)
+(* The knob: a process-wide override, set by cfpm's --order flag; the
+   default is the declared circuit order — reordering is opt-in. *)
 let override = Atomic.make None
 
 let set_policy p = Atomic.set override (Some p)
 
-let warned_bad_order = Atomic.make false
-
-let ambient () =
-  match Atomic.get override with
-  | Some p -> p
-  | None -> (
-    match Sys.getenv_opt "CFPM_ORDER" with
-    | None | Some "" -> Declared
-    | Some s -> (
-      match of_string s with
-      | Some p -> p
-      | None ->
-        (* same contract as CFPM_JOBS: a malformed ambient knob warns
-           once on stderr and falls back to the default, it never turns
-           an otherwise-valid build into a failure *)
-        if not (Atomic.exchange warned_bad_order true) then
-          Printf.eprintf
-            "cfpm: ignoring invalid CFPM_ORDER=%S (expected %s); using \
-             declared order\n\
-             %!"
-            s
-            (String.concat "|" (List.map to_string all));
-        Declared))
+let ambient () = Option.value (Atomic.get override) ~default:Declared
 
 (* Structural information measure, one topological pass.
 

@@ -30,14 +30,11 @@ val of_string : string -> policy option
     spelling variants such as ["info_then_sift"]). *)
 
 val set_policy : policy -> unit
-(** Process-wide override, as set by [cfpm --order].  Wins over the
-    [CFPM_ORDER] environment variable. *)
+(** Process-wide override, as set by [cfpm --order]. *)
 
 val ambient : unit -> policy
 (** The ambient policy: the {!set_policy} override if any, else
-    [CFPM_ORDER], else [Declared].  A malformed [CFPM_ORDER] value warns
-    once on stderr and falls back to [Declared] (the [CFPM_JOBS]
-    contract: an environment knob never fails a build). *)
+    [Declared]. *)
 
 val info_pair_order : Netlist.Circuit.t -> int array
 (** [info_pair_order c] ranks the primary inputs by the structural

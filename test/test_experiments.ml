@@ -151,6 +151,36 @@ let table1_smoke () =
   Alcotest.(check bool) "report" true
     (String.length (Experiments.Report.table1 rows) > 0)
 
+(* An unknown Table 1 name is a typed validation error naming the
+   circuit and the valid ones — never a silently shorter table.  The
+   durable runner fails the same way before any task starts. *)
+let table1_unknown_names () =
+  let expect_unknown label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: unknown circuit accepted" label
+    | exception Guard.Error.Guarded e ->
+      Alcotest.(check string) (label ^ ": kind") "validation"
+        (Guard.Error.kind_name e.Guard.Error.kind);
+      Alcotest.(check (option string)) (label ^ ": circuit") (Some "typo")
+        (Guard.Error.context_value e "circuit");
+      Alcotest.(check bool) (label ^ ": lists the valid names") true
+        (match Guard.Error.context_value e "valid" with
+        | Some v ->
+          List.for_all
+            (fun n -> List.mem n (String.split_on_char ' ' v))
+            Circuits.Suite.names
+        | None -> false)
+  in
+  expect_unknown "selected" (fun () ->
+      Experiments.Table1.selected (Some [ "cm85"; "typo" ]));
+  expect_unknown "durable" (fun () ->
+      Experiments.Durable.table1 ~names:[ "typo" ] ());
+  Alcotest.(check (list string)) "known names keep their order"
+    [ "cm85"; "decod" ]
+    (List.map
+       (fun e -> e.Circuits.Suite.name)
+       (Experiments.Table1.selected (Some [ "cm85"; "decod" ])))
+
 let suite =
   [
     Alcotest.test_case "relative error" `Quick relative_error_cases;
@@ -163,4 +193,6 @@ let suite =
     Alcotest.test_case "fig7a smoke" `Slow fig7a_smoke;
     Alcotest.test_case "fig7b smoke" `Slow fig7b_smoke;
     Alcotest.test_case "table1 smoke" `Slow table1_smoke;
+    Alcotest.test_case "table1 rejects unknown names" `Quick
+      table1_unknown_names;
   ]
