@@ -277,8 +277,8 @@ let build_cmd =
     let model = build_or_exit ?budget ~strategy ~weighting ?max_size c in
     let s = model.Powermodel.Model.stats in
     Printf.printf
-      "model for %s: %d nodes (peak %d), %d approximations, %d BDD nodes, \
-       %.2fs\n"
+      "model for %s: %d nodes (peak %d), %d approximations, %d live \
+       node-function nodes, %.2fs\n"
       name s.final_size s.peak_size s.approx_calls s.bdd_nodes s.wall_seconds;
     if s.degrade_steps > 0 then
       Printf.printf "  budget pressure: effective MAX halved %d time(s)\n"

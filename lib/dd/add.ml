@@ -5,15 +5,13 @@ type t =
    reordering engine below, which preserves id, physical identity and the
    denoted function.  Everything else treats nodes as immutable. *)
 
-type binop = Plus | Minus | Times | Min | Max
+type binop = Plus | Minus | Times | Min | Max | And | Or | Xor
 
 (* Never returned (every probe checks its key first); placeholder for the
-   result slots of the direct-mapped caches and the unique table. *)
+   result slots of the direct-mapped cache and the unique table. *)
 let dummy = Leaf { id = -1; value = nan }
 
 let cache_bits = 16
-let ite_bits = 14
-let of_bdd_bits = 14
 
 type manager = {
   mutable next_id : int;
@@ -32,19 +30,8 @@ type manager = {
      variable; identity beyond their length (empty = natural order). *)
   mutable perm : int array;
   mutable invperm : int array;
-  (* Computed tables: fixed-size, direct-mapped, lossy. *)
-  cache : t Ct.cache;      (* binary ops, packed (op, a, b) *)
-  ite_cache : t Ct.cache2; (* (guard, g) packed + h *)
-  (* of_bdd memo, generation-stamped: entries are valid only while the
-     (one_value, zero_value) pair is unchanged; switching pairs bumps the
-     generation, invalidating every entry in O(1). *)
-  ob_key : int array; (* BDD node id; -1 = empty *)
-  ob_gen : int array;
-  ob_res : t array;
-  ob_mask : int;
-  mutable ob_generation : int;
-  mutable ob_one : int64;
-  mutable ob_zero : int64;
+  (* Computed table: fixed-size, direct-mapped, lossy. *)
+  cache : t Ct.cache; (* packed (op, a, b): binary ops and shift *)
   (* GC roots: id -> (refcount, node).  {!sweep} keeps exactly the nodes
      reachable from here. *)
   roots : (int, int * t) Hashtbl.t;
@@ -55,21 +42,23 @@ type manager = {
   mutable stamp_gen : int;
   size_memo : (int, int) Hashtbl.t;
   perf : Perf.t;
-  (* apply counters indexed by op tag; fetched at creation so the hot
-     loops never hash a counter name *)
-  c_apply : Perf.counter array;
-  c_ite : Perf.counter;
-  c_of_bdd : Perf.counter;
+  (* counters indexed by op tag; fetched at creation so the hot loops
+     never hash a counter name *)
+  c_op : Perf.counter array;
 }
 
-let op_names = [| "plus"; "minus"; "times"; "min"; "max" |]
+(* Op tags of the computed table, indexing [op_names]; must stay < 16 so
+   a packed (op, id, id) key fits a non-negative OCaml int. *)
+let op_names =
+  [| "plus"; "minus"; "times"; "min"; "max"; "and"; "or"; "xor"; "shift" |]
+
+let op_shift = 8
 
 let initial_unique_bits = 12
 
 let manager ?perf () =
   let perf = match perf with Some p -> p | None -> Perf.create () in
   let n = 1 lsl initial_unique_bits in
-  let obn = 1 lsl of_bdd_bits in
   {
     next_id = 0;
     leaves = Hashtbl.create 256;
@@ -82,28 +71,16 @@ let manager ?perf () =
     perm = [||];
     invperm = [||];
     cache = Ct.cache ~bits:cache_bits ~dummy;
-    ite_cache = Ct.cache2 ~bits:ite_bits ~dummy;
-    ob_key = Array.make obn (-1);
-    ob_gen = Array.make obn 0;
-    ob_res = Array.make obn dummy;
-    ob_mask = obn - 1;
-    ob_generation = 0;
-    ob_one = Int64.bits_of_float 1.0;
-    ob_zero = Int64.bits_of_float 0.0;
     roots = Hashtbl.create 16;
     stamp = Array.make 1024 0;
     stamp_gen = 0;
     size_memo = Hashtbl.create 64;
     perf;
-    c_apply = Array.map (Perf.counter perf) op_names;
-    c_ite = Perf.counter perf "ite";
-    c_of_bdd = Perf.counter perf "of_bdd";
+    c_op = Array.map (Perf.counter perf) op_names;
   }
 
 let clear_caches m =
   Ct.clear m.cache;
-  Ct.clear2 m.ite_cache;
-  m.ob_generation <- m.ob_generation + 1;
   Hashtbl.reset m.size_memo;
   Perf.reset m.perf
 
@@ -208,48 +185,27 @@ let mk m v low high =
     probe (Ct.uhash v il ih land mask)
   end
 
-let of_bdd m ?(one_value = 1.0) ?(zero_value = 0.0) b =
-  let ov = Int64.bits_of_float one_value
-  and zv = Int64.bits_of_float zero_value in
-  if not (Int64.equal ov m.ob_one && Int64.equal zv m.ob_zero) then begin
-    m.ob_generation <- m.ob_generation + 1;
-    m.ob_one <- ov;
-    m.ob_zero <- zv
-  end;
-  let gen = m.ob_generation in
-  let rec go b =
-    match b with
-    | Bdd.False -> const m zero_value
-    | Bdd.True -> const m one_value
-    | Bdd.Node n ->
-      let i = Ct.mix n.id land m.ob_mask in
-      if m.ob_key.(i) = n.id && m.ob_gen.(i) = gen then begin
-        Perf.hit m.c_of_bdd;
-        m.ob_res.(i)
-      end
-      else begin
-        Perf.miss m.c_of_bdd;
-        let r = mk m n.var (go n.low) (go n.high) in
-        m.ob_key.(i) <- n.id;
-        m.ob_gen.(i) <- gen;
-        m.ob_res.(i) <- r;
-        r
-      end
-  in
-  go b
-
-let op_tag = function Plus -> 0 | Minus -> 1 | Times -> 2 | Min -> 3 | Max -> 4
+let op_tag = function
+  | Plus -> 0
+  | Minus -> 1
+  | Times -> 2
+  | Min -> 3
+  | Max -> 4
+  | And -> 5
+  | Or -> 6
+  | Xor -> 7
 
 let eval_op op a b =
   match op with
   | Plus -> a +. b
   | Minus -> a -. b
   | Times -> a *. b
-  | Min -> Float.min a b
-  | Max -> Float.max a b
+  | Min | And -> Float.min a b
+  | Max | Or -> Float.max a b
+  | Xor -> Float.abs (a -. b)
 
 let is_commutative = function
-  | Plus | Times | Min | Max -> true
+  | Plus | Times | Min | Max | And | Or | Xor -> true
   | Minus -> false
 
 let top_var m a b =
@@ -266,6 +222,7 @@ let cofactors f v =
   | Leaf _ | Node _ -> (f, f)
 
 let is_one = function Leaf l -> l.value = 1.0 | Node _ -> false
+let is_zero = function Leaf l -> l.value = 0.0 | Node _ -> false
 
 (* -0.0 is a unit of +; +0.0 only for operands free of -0.0 leaves, because
    -0.0 + 0.0 is +0.0.  The manager records whether it ever made one. *)
@@ -277,7 +234,9 @@ let plus_unit m = function
    holds bit for bit at every leaf value (a signalling NaN aside, which no
    arithmetic here makes), so the result is the very node the recursion
    would rebuild, and no node is made.  [x * 0] is left out: inf * 0 is
-   NaN and -x * 0 is -0.0. *)
+   NaN and -x * 0 is -0.0.  The Boolean cases hold for 0/1 operands only;
+   with them a leaf pair never reaches [eval_op], and an AND with the 0
+   leaf costs one step instead of a walk of the other operand. *)
 let identity m op a b =
   match op with
   | Plus ->
@@ -285,10 +244,23 @@ let identity m op a b =
   | Minus -> None
   | Times -> if is_one b then Some a else if is_one a then Some b else None
   | Min | Max -> if a == b then Some a else None
+  | And ->
+    if is_zero a || is_one b || a == b then Some a
+    else if is_zero b || is_one a then Some b
+    else None
+  | Or ->
+    if is_one a || is_zero b || a == b then Some a
+    else if is_one b || is_zero a then Some b
+    else None
+  | Xor ->
+    if is_zero b then Some a
+    else if is_zero a then Some b
+    else if a == b then Some (const m 0.0)
+    else None
 
 let apply2 m op a b =
   let tag = op_tag op in
-  let ctr = m.c_apply.(tag) in
+  let ctr = m.c_op.(tag) in
   let commutative = is_commutative op in
   let cache = m.cache in
   let rec go a b =
@@ -327,48 +299,39 @@ let apply2 m op a b =
 let add m a b = apply2 m Plus a b
 let mul m a b = apply2 m Times a b
 
-let ite m guard g h =
-  let cache = m.ite_cache in
-  let rec go guard g h =
-    match guard with
-    | Bdd.True -> g
-    | Bdd.False -> h
-    | Bdd.Node nf ->
-      if g == h then g
-      else begin
-        let k1 = Ct.pack2 nf.id (node_id g) and k2 = node_id h in
-        let i = Ct.slot2 cache k1 k2 in
-        if cache.Ct.k1.(i) = k1 && cache.Ct.k2.(i) = k2 then begin
-          Perf.hit m.c_ite;
-          cache.Ct.vals2.(i)
+let bnot m f = apply2 m Xor f (const m 1.0)
+
+(* The offset enters the key modulo 2^29: of the offsets congruent to [k]
+   only one keeps a given node's variable inside [0, 2^29), and that is
+   checked before the probe, so the key stays injective. *)
+let shift m k f =
+  if k = 0 then f
+  else begin
+    let ctr = m.c_op.(op_shift) and cache = m.cache in
+    let kk = k land (Ct.id_limit - 1) in
+    let rec go f =
+      match f with
+      | Leaf _ -> f
+      | Node n ->
+        let v = n.var + k in
+        if v < 0 then invalid_arg "Add.shift: negative shifted variable";
+        Ct.check_var v;
+        let key = Ct.pack op_shift n.id kk in
+        let i = Ct.slot cache key in
+        if cache.Ct.keys.(i) = key then begin
+          Perf.hit ctr;
+          cache.Ct.vals.(i)
         end
         else begin
-          Perf.miss m.c_ite;
-          let v = nf.var in
-          let v =
-            match g with
-            | Node n when level m n.var < level m v -> n.var
-            | _ -> v
-          in
-          let v =
-            match h with
-            | Node n when level m n.var < level m v -> n.var
-            | _ -> v
-          in
-          let f0, f1 =
-            if nf.var = v then (nf.low, nf.high) else (guard, guard)
-          in
-          let g0, g1 = cofactors g v in
-          let h0, h1 = cofactors h v in
-          let r = mk m v (go f0 g0 h0) (go f1 g1 h1) in
-          cache.Ct.k1.(i) <- k1;
-          cache.Ct.k2.(i) <- k2;
-          cache.Ct.vals2.(i) <- r;
+          Perf.miss ctr;
+          let r = mk m v (go n.low) (go n.high) in
+          cache.Ct.keys.(i) <- key;
+          cache.Ct.vals.(i) <- r;
           r
         end
-      end
-  in
-  go guard g h
+    in
+    go f
+  end
 
 let equal a b = a == b
 
@@ -495,7 +458,7 @@ let make_node = mk
 (* Root-registered mark-and-sweep.  [protect]/[unprotect] maintain a
    refcount per root; [sweep] keeps exactly the nodes reachable from the
    live roots, rebuilding the unique table and the leaf table in place.
-   The computed tables are invalidated wholesale: a cached result that
+   The computed table is invalidated wholesale: a cached result that
    died would otherwise be resurrected outside the unique table and break
    hash-consing canonicity.  Node ids are never reused, so probes keyed by
    dead ids can only miss.  Perf counters are deliberately left running —
@@ -572,10 +535,8 @@ let sweep m =
     (fun bits l -> if not (Hashtbl.mem live (node_id l)) then dead := bits :: !dead)
     m.leaves;
   List.iter (Hashtbl.remove m.leaves) !dead;
-  (* invalidate the computed tables and the size memo *)
+  (* invalidate the computed table and the size memo *)
   Ct.clear m.cache;
-  Ct.clear2 m.ite_cache;
-  m.ob_generation <- m.ob_generation + 1;
   Hashtbl.reset m.size_memo
 
 (* ------------------------------------------------------------------ *)
@@ -603,11 +564,10 @@ let sweep m =
    break canonicity; a later {!sweep} prunes the dead ones).  Roots come
    from the manager's protect table.
 
-   At the end of a session the computed tables are invalidated (ids are
+   At the end of a session the computed table is invalidated (ids are
    never reused and functions are preserved, but a cached result could
    name a node whose table entry died, and resurrecting it would break
-   canonicity), the of_bdd generation is bumped and the size memo is
-   reset — stamp-based size queries stay sound because ids never change,
+   canonicity) and the size memo is reset — stamp-based size queries stay sound because ids never change,
    but the per-root size memo would be stale the moment a swap reshapes
    the diagram under an unchanged root id. *)
 
@@ -820,8 +780,6 @@ let swap_adjacent_in m s lvl =
 
 let invalidate_after_reorder m =
   Ct.clear m.cache;
-  Ct.clear2 m.ite_cache;
-  m.ob_generation <- m.ob_generation + 1;
   Hashtbl.reset m.size_memo
 
 let level_span m =

@@ -3,14 +3,18 @@
 
     The paper represents the switching-capacitance function
     [C(x_i, x_f)] as an ADD built from the BDDs of the netlist's node
-    functions (Eq. 4 / Fig. 6).  This module provides the symbolic operators
-    the pseudo-code of Fig. 6 relies on ([of_bdd] with [one_value] fusing
-    the conversion with [add_times], [add] = [add_sum], [size] =
-    [add_size]) plus the generic apply machinery, evaluation and the
-    package's only dynamic-reordering engine.
+    functions (Eq. 4 / Fig. 6).  A BDD without complement edges is exactly
+    a reduced ADD over the leaves 0 and 1, so the node functions live here
+    too, as 0/1 ADDs built with the Boolean binops and {!bnot}; the
+    paper's [bdd_to_add] is then the identity and [add_times] is {!mul}.
+    This module provides the symbolic operators the pseudo-code of Fig. 6
+    relies on ([add] = [add_sum], [size] = [add_size]) plus the generic
+    apply machinery, evaluation and the package's dynamic-reordering
+    engine.
 
-    Like {!Bdd}, nodes are hash-consed per {!manager}; leaves are shared by
-    exact floating-point value. *)
+    Nodes are hash-consed per {!manager}, so two structurally equal
+    diagrams built in the same manager are physically equal; leaves are
+    shared by exact floating-point value. *)
 
 type t = private
   | Leaf of { id : int; value : float }
@@ -33,8 +37,8 @@ val clear_caches : manager -> unit
 
 val perf : manager -> Perf.t
 (** Computed-table hits/misses per operation ({e plus}, {e minus},
-    {e times}, {e min}, {e max}, {e ite}, {e of_bdd}), peak allocated
-    node count, and {!Approx} collapse passes.  The computed tables are
+    {e times}, {e min}, {e max}, {e and}, {e or}, {e xor}, {e shift}),
+    peak allocated node count, and {!Approx} collapse passes.  The computed tables are
     direct-mapped and lossy, so an evicted entry counts as a miss when
     re-probed. *)
 
@@ -45,25 +49,37 @@ val unique_size : manager -> int
 
 val const : manager -> float -> t
 
-val of_bdd : manager -> ?one_value:float -> ?zero_value:float -> Bdd.t -> t
-(** Convert a BDD to an ADD mapping [true] to [one_value] (default 1.0) and
-    [false] to [zero_value] (default 0.0).  Variable indices are preserved,
-    so the BDD and ADD managers must use the same variable numbering {e and
-    the same variable order} (see {!set_order}). *)
+(** {1 Arithmetic and Boolean operations} *)
 
-val ite : manager -> Bdd.t -> t -> t -> t
-(** [ite m guard g h] selects [g] where [guard] holds and [h] elsewhere. *)
-
-(** {1 Arithmetic} *)
-
-type binop = Plus | Minus | Times | Min | Max
+type binop = Plus | Minus | Times | Min | Max | And | Or | Xor
 
 val apply2 : manager -> binop -> t -> t -> t
+(** Pointwise [op].  [And], [Or] and [Xor] are the Boolean operations on
+    0/1 diagrams and require both operands to have only the leaves 0.0
+    and 1.0: their terminal cases (AND with 0 is 0, with 1 the other
+    operand; OR with 1 is 1, with 0 the other operand; XOR with 0 is the
+    other operand, of equal operands the 0 leaf) hold only there.  The
+    result is again a 0/1 diagram. *)
 
 val add : manager -> t -> t -> t
 (** Pointwise sum — the paper's [add_sum]. *)
 
 val mul : manager -> t -> t -> t
+
+val bnot : manager -> t -> t
+(** Negation of a 0/1 diagram: [Xor] with the 1 leaf. *)
+
+val shift : manager -> int -> t -> t
+(** [shift m k f] renames every variable [v] of [f] to [v + k].  Under the
+    natural order adding a constant preserves the variable order, so this
+    is a single memoized structural copy — no apply operations.
+    {!Powermodel.Model} uses it to derive the final-copy node functions
+    from the initial-copy ones (interleaved numbering, offset 1) instead of
+    re-evaluating the netlist.  Under a custom order the caller must ensure
+    the renaming is still order-preserving — the pair-preserving orders of
+    {!Powermodel.Reorder} keep offset-1 shifts of even-variable diagrams
+    valid.  Raises [Invalid_argument] if any shifted variable would be
+    negative. *)
 
 (** {1 Queries} *)
 
@@ -197,8 +213,7 @@ val sift :
     a capped sift still leaves a consistent order ([capped] reports it).
 
     Sweeps to the protected roots first, then sifts exactly the live set.
-    All computed tables, the {!of_bdd} memo generation and the size memo
-    are invalidated.  Deterministic: same manager history, roots and
+    The computed table and the size memo are invalidated.  Deterministic: same manager history, roots and
     arguments produce the same final order and sizes. *)
 
 val reorder_to : manager -> int array -> sift_stats

@@ -57,6 +57,5 @@ val compress :
     before returning.  {b End-of-build use only}: the sift sweeps the
     manager to its protected roots, so everything except the result (and
     any roots the caller protected) is dropped, and the manager's variable
-    order changes — any paired BDD manager would fall out of sync for
-    future {!Add.of_bdd} calls.  The returned diagram itself is reordered
-    in place, function-preserved. *)
+    order changes.  The returned diagram itself is reordered in place,
+    function-preserved. *)

@@ -1,5 +1,5 @@
-(* Packed-key and direct-mapped cache primitives shared by the BDD and ADD
-   managers (CUDD-style kernel substrate).
+(* Packed-key and direct-mapped cache primitives of the ADD manager
+   (CUDD-style kernel substrate).
 
    Node ids are capped at [id_limit] = 2^29 so that an (op, id, id) triple
    packs injectively into one non-negative OCaml int: op in bits 58..61,
@@ -20,7 +20,6 @@ let check_var v =
     invalid_arg "Dd: variable index exceeds the 2^29 packed-key capacity"
 
 let pack op a b = (op lsl (2 * id_bits)) lor (a lsl id_bits) lor b
-let pack2 a b = (a lsl id_bits) lor b
 
 (* Slot hash for every table in the kernel: the splitmix64 finalizer, its
    multipliers with the top bit cleared to fit a 63-bit OCaml int (both
@@ -34,10 +33,7 @@ let mix x =
   let h = (h lxor (h lsr 27)) * 0x14D049BB133111EB in
   h lxor (h lsr 31)
 
-let mix2 a b = mix (a lxor (b * 0x85EBCA77))
-
-(* Unique-table hash of a (var, low id, high id) triple, shared by the BDD
-   and ADD managers. *)
+(* Unique-table hash of a (var, low id, high id) triple. *)
 let uhash v l h = mix (v lxor (l * 0x85EBCA77) lxor (h * 0xC2B2AE3D))
 
 (* --------------------------------------------------------------------- *)
@@ -55,21 +51,3 @@ let cache ~bits ~dummy =
 let slot c key = mix key land c.mask
 
 let clear c = Array.fill c.keys 0 (Array.length c.keys) (-1)
-
-(* Two-word keys, for ternary operations (ite) whose three ids do not fit
-   one packed int: [k1] is a two-id pack, [k2] the third id. *)
-
-type 'r cache2 = { k1 : int array; k2 : int array; vals2 : 'r array; mask2 : int }
-
-let cache2 ~bits ~dummy =
-  let n = 1 lsl bits in
-  {
-    k1 = Array.make n (-1);
-    k2 = Array.make n 0;
-    vals2 = Array.make n dummy;
-    mask2 = n - 1;
-  }
-
-let slot2 c k1 k2 = mix2 k1 k2 land c.mask2
-
-let clear2 c = Array.fill c.k1 0 (Array.length c.k1) (-1)

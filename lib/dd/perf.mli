@@ -1,11 +1,10 @@
 (** Per-manager performance counters for the decision-diagram package.
 
-    Every {!Bdd.manager} and {!Add.manager} owns one [Perf.t]; the hot
-    operation loops count computed-table hits and misses into pre-fetched
-    {!counter} records (no hashing on the hot path) — [not], [and], [or],
-    [xor] and [shift] on the BDD side; [plus], [minus], [times], [min],
-    [max], [ite] and [of_bdd] on the ADD side — the hash-consing
-    constructors track the peak allocated node count, and {!Approx}
+    Every {!Add.manager} owns one [Perf.t]; the hot operation loops count
+    computed-table hits and misses into pre-fetched {!counter} records (no
+    hashing on the hot path) — [plus], [minus], [times], [min], [max],
+    [and], [or], [xor] and [shift] — the hash-consing constructor tracks
+    the peak allocated node count, and {!Approx}
     counts its collapse passes.  [clear_caches] on the owning manager
     resets the counters along with the caches, so a counter window always
     matches a cache window.

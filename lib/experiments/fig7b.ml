@@ -32,7 +32,7 @@ let run ?(vectors = 2000) ?(char_vectors = 3000) ?(seed = 11)
   in
   let con = Powermodel.Baselines.characterize_con sim char_seq in
   let lin = Powermodel.Baselines.characterize_lin sim char_seq in
-  (* one model build per size bound, each with its own BDD/ADD managers:
+  (* one model build per size bound, each with its own DD manager:
      independent tasks, safe to build on the pool *)
   let models =
     Parallel.Pool.map ?jobs

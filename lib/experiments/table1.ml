@@ -2,7 +2,7 @@
    conservative upper bounds (constant / pattern-dependent ADD).
 
    Each row is completely self-contained — it builds its own circuit,
-   simulator, BDD/ADD managers and PRNG streams from the per-entry seed —
+   simulator, DD manager and PRNG streams from the per-entry seed —
    which is what lets [run] hand the rows to a {!Parallel.Pool} without
    any cross-task state. *)
 

@@ -1,8 +1,9 @@
 (** Resource budgets with cooperative checkpoints.
 
     A budget caps five things a hostile netlist can blow up: wall-clock
-    time (monotonic, immune to NTP steps), decision-diagram nodes (BDD +
-    ADD combined, the real memory driver), collapse invocations (each
+    time (monotonic, immune to NTP steps), decision-diagram nodes (the
+    model manager's unique table: node functions and capacitance ADD
+    together, the real memory driver), collapse invocations (each
     one is a full-diagram rebuild, the real CPU driver beyond the node
     count), reorder swaps (each adjacent-level swap of a sifting pass
     is cheap, but a sift is quadratic in levels without a cap), and PBO

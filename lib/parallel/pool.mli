@@ -1,7 +1,7 @@
 (** A small fixed-size work pool over OCaml 5 domains.
 
     The paper's evaluation is embarrassingly parallel: every benchmark
-    circuit builds its own BDD manager, ADD model and simulator with zero
+    circuit builds its own DD manager, ADD model and simulator with zero
     shared state, so the experiment layer hands this pool one closure per
     circuit (or per sweep point) and gets the results back {e in
     submission order}, regardless of which worker finished first or when.

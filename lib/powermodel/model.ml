@@ -25,14 +25,15 @@ type t = {
   stats : build_stats;
 }
 
-let bdd_logic mgr =
+(* Node functions are 0/1 ADDs in the model's own manager. *)
+let add_logic mgr =
   {
-    Netlist.Cell.ltrue = Dd.Bdd.one;
-    lfalse = Dd.Bdd.zero;
-    lnot = Dd.Bdd.bnot mgr;
-    land_ = Dd.Bdd.band mgr;
-    lor_ = Dd.Bdd.bor mgr;
-    lxor_ = Dd.Bdd.bxor mgr;
+    Netlist.Cell.ltrue = Dd.Add.const mgr 1.0;
+    lfalse = Dd.Add.const mgr 0.0;
+    lnot = Dd.Add.bnot mgr;
+    land_ = Dd.Add.apply2 mgr Dd.Add.And;
+    lor_ = Dd.Add.apply2 mgr Dd.Add.Or;
+    lxor_ = Dd.Add.apply2 mgr Dd.Add.Xor;
   }
 
 exception Build_aborted of Guard.Error.t * build_stats
@@ -90,6 +91,27 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
   (match max_size with
   | Some m when m < 1 -> invalid_arg "Model.build: max_size must be >= 1"
   | Some _ | None -> ());
+  (* A load scales a 0/1 node function by [mul]: only a finite,
+     non-negative load maps the 0 leaf to +0.0 and keeps the sum finite. *)
+  let check_load what l =
+    if not (Float.is_finite l && l >= 0.0) then
+      invalid_arg
+        (Printf.sprintf "Model.build: %s must be finite and >= 0, got %g" what
+           l)
+  in
+  Option.iter (check_load "output_load") output_load;
+  let loads =
+    match loads with
+    | Some loads ->
+      if Array.length loads <> circuit.Netlist.Circuit.net_count then
+        invalid_arg "Model.build: loads length must equal net count";
+      Array.copy loads
+    | None -> (
+      match output_load with
+      | None -> Netlist.Circuit.loads circuit
+      | Some output_load -> Netlist.Circuit.loads ~output_load circuit)
+  in
+  Array.iter (check_load "every load") loads;
   let reorder =
     match reorder with Some p -> p | None -> Reorder.ambient ()
   in
@@ -117,7 +139,6 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
   let t0 = Sys.time () in
   let w0 = Guard.Budget.now () in
   let n = Netlist.Circuit.input_count circuit in
-  let bdd_mgr = Dd.Bdd.manager () in
   let add_mgr = Dd.Add.manager () in
   (* Info policies need the static order; computed once, before any node
      exists (one topological netlist pass, no diagrams). *)
@@ -138,13 +159,15 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
   let pre_ordered =
     match (info_order, max_size) with
     | Some ord, None ->
-      Dd.Bdd.set_order bdd_mgr ord;
       Dd.Add.set_order add_mgr ord;
       true
     | _ -> false
   in
-  let logic = bdd_logic bdd_mgr in
-  let env_i = Array.init n (fun j -> Dd.Bdd.var bdd_mgr (Vars.initial j)) in
+  let logic = add_logic add_mgr in
+  let env_i =
+    Array.init n (fun j ->
+        Dd.Add.make_node add_mgr (Vars.initial j) logic.lfalse logic.ltrue)
+  in
   let values_i =
     Obs.Trace.with_span "bdd_build" ~cat:"build" (fun () ->
         Netlist.Circuit.eval_all logic circuit env_i)
@@ -152,23 +175,23 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
   (* The final-copy node functions are the initial-copy ones with every
      variable renamed 2j -> 2j+1 (interleaved numbering, see {!Vars}).
      Renaming by a constant offset preserves the variable order, so
-     [Bdd.shift] derives them by a memoized structural copy instead of
+     [Add.shift] derives them by a memoized structural copy instead of
      re-evaluating the whole netlist symbolically. *)
   let values_f =
     Obs.Trace.with_span "bdd_shift" ~cat:"build" (fun () ->
-        Array.map (Dd.Bdd.shift bdd_mgr 1) values_i)
+        Array.map (Dd.Add.shift add_mgr 1) values_i)
   in
-  let loads =
-    match loads with
-    | Some loads ->
-      if Array.length loads <> circuit.Netlist.Circuit.net_count then
-        invalid_arg "Model.build: loads length must equal net count";
-      Array.copy loads
-    | None -> (
-      match output_load with
-      | None -> Netlist.Circuit.loads circuit
-      | Some output_load -> Netlist.Circuit.loads ~output_load circuit)
+  (* The node functions stay protected through the gate loop, so the
+     purge and degrade sweeps keep them.  Sweeping here drops the
+     intermediates of their construction: what is left is their working
+     set, reported as [bdd_nodes]. *)
+  let protect_values f =
+    Array.iter (f add_mgr) values_i;
+    Array.iter (f add_mgr) values_f
   in
+  protect_values Dd.Add.protect;
+  Dd.Add.sweep add_mgr;
+  let bdd_nodes = Dd.Add.unique_size add_mgr in
   let cap = ref (Dd.Add.const add_mgr 0.0) in
   let approx_calls = ref 0 in
   let peak = ref 1 in
@@ -187,7 +210,7 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
       approx_calls = !approx_calls;
       peak_size = !peak;
       final_size = Dd.Add.size_in add_mgr !cap;
-      bdd_nodes = Dd.Bdd.node_count bdd_mgr;
+      bdd_nodes;
       cpu_seconds = Sys.time () -. t0;
       wall_seconds = Guard.Budget.now () -. w0;
       degrade_steps = !degrade_steps;
@@ -250,18 +273,16 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
         Dd.Approx.compress ~weighting add_mgr ~strategy ~max_size:m add)
   in
   (* The cooperative checkpoint, called once per gate.  Node accounting
-     covers both managers: the BDD side is a fixed cost once the node
-     functions exist, so only the ADD side can be recovered — if the BDD
-     alone busts the ceiling, the ladder bottoms out and aborts. *)
-  let total_nodes () =
-    Dd.Add.unique_size add_mgr + Dd.Bdd.unique_size bdd_mgr
-  in
+     is the manager's unique table: the node functions are a fixed cost
+     once built, so only the accumulator's share can be recovered — if
+     the node functions alone bust the ceiling, the ladder bottoms out
+     and aborts. *)
   let degrade b =
     (* step 0 of the ladder is free: sweeping drops dead intermediates
        without touching accuracy, and often clears the pressure alone *)
     sweep_keep_cap ();
     let rec ladder () =
-      match Guard.Budget.check b ~nodes:(total_nodes ()) with
+      match Guard.Budget.check b ~nodes:(Dd.Add.unique_size add_mgr) with
       | Guard.Budget.Within -> ()
       | Guard.Budget.Exhausted err -> abort err (* deadline during ladder *)
       | Guard.Budget.Node_pressure { nodes; _ } ->
@@ -291,7 +312,7 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
     | None -> ()
     | Some b -> (
       match
-        Guard.Budget.check b ~nodes:(total_nodes ())
+        Guard.Budget.check b ~nodes:(Dd.Add.unique_size add_mgr)
           ~collapses:!approx_calls
       with
       | Guard.Budget.Within -> ()
@@ -306,13 +327,13 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
           if load = 0.0 then incr skipped
           else begin
             let rising =
-              Dd.Bdd.band bdd_mgr
-                (Dd.Bdd.bnot bdd_mgr values_i.(g.out))
+              Dd.Add.apply2 add_mgr Dd.Add.And
+                (Dd.Add.bnot add_mgr values_i.(g.out))
                 values_f.(g.out)
             in
-            (* of_bdd with the load as the one-value fuses the paper's
-               bdd-to-ADD conversion and add_times into one traversal. *)
-            let delta = Dd.Add.of_bdd add_mgr ~one_value:load rising in
+            let delta =
+              Dd.Add.mul add_mgr rising (Dd.Add.const add_mgr load)
+            in
             (* per-gate contributions are bounded much harder than the
                accumulator: the cost of adding a delta is the size of the
                cross product, and the accumulator's own clamp dominates the
@@ -325,6 +346,9 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
         circuit.Netlist.Circuit.gates);
   (* the last gate may have pushed past a ceiling *)
   checkpoint ();
+  (* Released before the final clamp and the reorder: a sift groups every
+     live root, and live node functions would steer it to another order. *)
+  protect_values Dd.Add.unprotect;
   Obs.Trace.with_span "final_clamp" ~cat:"build" (fun () ->
       cap := clamp ~slack:false !cap);
   (* Post-build reorder: in-place, function-preserving level swaps on the
@@ -395,12 +419,8 @@ let build ?budget ?reorder ?(strategy = Dd.Approx.Average)
   Obs.Metrics.add m_gates_done stats.gates_done;
   Obs.Metrics.add m_approx_calls stats.approx_calls;
   Obs.Metrics.add m_degrade_steps stats.degrade_steps;
-  Obs.Metrics.add m_cache_hits
-    (Dd.Perf.total_hits (Dd.Add.perf add_mgr)
-    + Dd.Perf.total_hits (Dd.Bdd.perf bdd_mgr));
-  Obs.Metrics.add m_cache_misses
-    (Dd.Perf.total_misses (Dd.Add.perf add_mgr)
-    + Dd.Perf.total_misses (Dd.Bdd.perf bdd_mgr));
+  Obs.Metrics.add m_cache_hits (Dd.Perf.total_hits (Dd.Add.perf add_mgr));
+  Obs.Metrics.add m_cache_misses (Dd.Perf.total_misses (Dd.Add.perf add_mgr));
   Obs.Metrics.add m_peak_nodes stats.peak_size;
   Obs.Metrics.add m_sift_swaps stats.sift_swaps;
   Obs.Metrics.add m_reorder_gain stats.reorder_gain;

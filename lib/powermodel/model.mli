@@ -23,7 +23,9 @@ type build_stats = {
   approx_calls : int;   (** node-collapsing invocations (Fig. 6 [add_approx]) *)
   peak_size : int;      (** largest intermediate ADD observed *)
   final_size : int;
-  bdd_nodes : int;      (** BDD nodes allocated for the node functions *)
+  bdd_nodes : int;
+      (** internal nodes the node functions hold live: the unique-table
+          size after the sweep that follows their construction *)
   cpu_seconds : float;
       (** [Sys.time]-based, i.e. process-wide CPU: misleading under
           parallel domains — prefer [wall_seconds] for reporting *)
@@ -79,7 +81,8 @@ val build :
     to the statistics-robust default ({!Dd.Approx.default_weighting});
     [output_load] is forwarded to {!Netlist.Circuit.loads}, or [loads]
     (per-net, full length) replaces the derived back-annotation
-    entirely.
+    entirely.  Raises [Invalid_argument] on a negative, NaN or infinite
+    [output_load] or entry of [loads].
 
     [budget] (default: the ambient {!Guard.Budget}, if any) is enforced
     cooperatively, one checkpoint per gate.  Under node pressure the

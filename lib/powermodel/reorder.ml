@@ -2,7 +2,7 @@
 
    The model's diagrams live over the interleaved transition variables
    (x_j_initial = 2j, x_j_final = 2j + 1); everything downstream —
-   Markov's pair contexts, Bdd.shift's offset-1 renaming, the
+   Markov's pair contexts, Add.shift's offset-1 renaming, the
    sensitivity queries — leans on a pair (2j, 2j+1) being adjacent.  So
    all policies here permute *input pairs*, never split one: a pair
    order p (level k holds input p.(k)) expands to the variable order

@@ -2,7 +2,7 @@
 
     The model's diagrams are built over interleaved transition variables
     ([x_j_initial = 2j], [x_j_final = 2j + 1]); {!Dd.Markov},
-    {!Dd.Bdd.shift} and the sensitivity queries all rely on a pair
+    {!Dd.Add.shift} and the sensitivity queries all rely on a pair
     [(2j, 2j + 1)] being level-adjacent.  Every policy here therefore
     permutes whole {e input pairs} and never splits one.
 

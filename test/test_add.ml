@@ -1,7 +1,6 @@
-(* ADD package: arithmetic against brute-force evaluation, construction
-   from BDDs, queries. *)
+(* ADD package: arithmetic against brute-force evaluation, load scaling
+   of 0/1 diagrams, queries. *)
 
-let bdd_mgr = Dd.Bdd.manager ()
 let mgr = Dd.Add.manager ()
 
 let vars = 4
@@ -25,7 +24,7 @@ let add_gen =
 let rec build_add = function
   | `Const v -> Dd.Add.const mgr v
   | `Ite (g, a, b) ->
-    Dd.Add.ite mgr (Util.bdd_of_expr bdd_mgr g) (build_add a) (build_add b)
+    Util.ite mgr (Util.add_of_expr mgr g) (build_add a) (build_add b)
 
 let rec eval_spec env = function
   | `Const v -> v
@@ -70,16 +69,18 @@ let test_apply2 =
             (Util.assignments vars))
         binop_cases)
 
-let test_of_bdd =
-  Util.qtest ~count:150 "of_bdd maps 0/1 to the chosen values"
+(* the model's weighting step: a 0/1 node function times a load leaf maps
+   1 to the load and 0 to +0.0, bit for bit *)
+let test_load_scaling =
+  Util.qtest ~count:150 "mul maps 0/1 to the load and +0"
     (Util.expr_arbitrary ~vars)
     (fun e ->
-      let f = Util.bdd_of_expr bdd_mgr e in
-      let t = Dd.Add.of_bdd mgr ~one_value:42.0 ~zero_value:(-1.0) f in
+      let f = Util.add_of_expr mgr e in
+      let t = Dd.Add.mul mgr f (Dd.Add.const mgr 42.5) in
       List.for_all
         (fun env ->
-          Util.close (Dd.Add.eval t env)
-            (if Util.eval_expr env e then 42.0 else -1.0))
+          Int64.bits_of_float (Dd.Add.eval t env)
+          = Int64.bits_of_float (if Util.eval_expr env e then 42.5 else 0.0))
         (Util.assignments vars))
 
 let test_min_max_values =
@@ -100,19 +101,16 @@ let unit_leaf_sharing () =
   Alcotest.(check int) "leaf size" 1 (Dd.Add.size a)
 
 let unit_reduction () =
-  let g = Dd.Bdd.var bdd_mgr 0 in
-  let t = Dd.Add.ite mgr g (Dd.Add.const mgr 5.0) (Dd.Add.const mgr 5.0) in
+  let t = Util.ite_var mgr 0 5.0 5.0 in
   Alcotest.(check int) "ite with equal branches collapses" 1 (Dd.Add.size t)
 
 let unit_terminal_values () =
-  let g = Dd.Bdd.var bdd_mgr 0 in
-  let t = Dd.Add.ite mgr g (Dd.Add.const mgr 2.0) (Dd.Add.const mgr 1.0) in
+  let t = Util.ite_var mgr 0 2.0 1.0 in
   Alcotest.(check (list (float 1e-9))) "terminals" [ 1.0; 2.0 ]
     (Dd.Add.terminal_values t)
 
 let unit_support () =
-  let g = Dd.Bdd.var bdd_mgr 2 in
-  let t = Dd.Add.ite mgr g (Dd.Add.const mgr 2.0) (Dd.Add.const mgr 1.0) in
+  let t = Util.ite_var mgr 2 2.0 1.0 in
   Alcotest.(check (list int)) "support" [ 2 ] (Dd.Add.support t);
   Alcotest.(check int) "internal count" 1 (Dd.Add.internal_count t)
 
@@ -124,6 +122,6 @@ let suite =
     Alcotest.test_case "support" `Quick unit_support;
     test_ite_semantics;
     test_apply2;
-    test_of_bdd;
+    test_load_scaling;
     test_min_max_values;
   ]

@@ -1,7 +1,6 @@
 (* Statistics (Eq. 5-8) and Markov analysis: validated against brute-force
    enumeration over all assignments / transitions. *)
 
-let bdd_mgr = Dd.Bdd.manager ()
 let mgr = Dd.Add.manager ()
 
 let vars = 4
@@ -25,7 +24,7 @@ let spec_gen =
 let rec build = function
   | `Const v -> Dd.Add.const mgr v
   | `Ite (g, a, b) ->
-    Dd.Add.ite mgr (Util.bdd_of_expr bdd_mgr g) (build a) (build b)
+    Util.ite mgr (Util.add_of_expr mgr g) (build a) (build b)
 
 let rec eval_spec env = function
   | `Const v -> v
@@ -160,10 +159,8 @@ let unit_combine () =
      combine into avg 7.5, var 18.75+... — values from Fig. 4.  The low
      child is a node over leaves 0 and 10, the high child the leaf 10. *)
   let ten = Dd.Add.const mgr 10.0 in
-  let low =
-    Dd.Add.ite mgr (Dd.Bdd.var bdd_mgr 1) ten (Dd.Add.const mgr 0.0)
-  in
-  let n = root_summary (Dd.Add.ite mgr (Dd.Bdd.var bdd_mgr 0) ten low) in
+  let low = Dd.Add.make_node mgr 1 (Dd.Add.const mgr 0.0) ten in
+  let n = root_summary (Dd.Add.make_node mgr 0 low ten) in
   Util.check_close "avg" 7.5 n.avg.(0);
   Util.check_close "var" 18.75 n.variance.(0);
   (* Ex. 5: max = 10, mse = var + (max-avg)^2 = 18.75 + 6.25 = 25 *)

@@ -1,7 +1,6 @@
 (* Node collapsing: size bounds, conservativeness of the bound strategies,
    behaviour across weightings. *)
 
-let bdd_mgr = Dd.Bdd.manager ()
 let mgr = Dd.Add.manager ()
 
 let vars = 6 (* 3 interleaved input pairs *)
@@ -19,7 +18,7 @@ let spec_gen =
 let rec build = function
   | `Const v -> Dd.Add.const mgr v
   | `Ite (g, a, b) ->
-    Dd.Add.ite mgr (Util.bdd_of_expr bdd_mgr g) (build a) (build b)
+    Util.ite mgr (Util.add_of_expr mgr g) (build a) (build b)
 
 let arbitrary = QCheck.make ~print:(fun _ -> "<add>") spec_gen
 

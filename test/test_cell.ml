@@ -51,32 +51,24 @@ let truth_tables () =
         (Util.assignments arity))
     Netlist.Cell.all_kinds
 
-(* The generic evaluator must agree across carriers: evaluate over BDDs,
-   then evaluate the BDD — same as evaluating over booleans directly. *)
+(* The generic evaluator must agree across carriers: evaluate over 0/1
+   ADDs, then evaluate the diagram — same as evaluating over booleans
+   directly. *)
 let bdd_consistency () =
-  let mgr = Dd.Bdd.manager () in
-  let logic =
-    {
-      Netlist.Cell.ltrue = Dd.Bdd.one;
-      lfalse = Dd.Bdd.zero;
-      lnot = Dd.Bdd.bnot mgr;
-      land_ = Dd.Bdd.band mgr;
-      lor_ = Dd.Bdd.bor mgr;
-      lxor_ = Dd.Bdd.bxor mgr;
-    }
-  in
+  let mgr = Dd.Add.manager () in
+  let logic = Util.add_logic mgr in
   List.iter
     (fun kind ->
       let arity = Netlist.Cell.arity kind in
       let sym =
-        Netlist.Cell.eval logic kind (Array.init arity (Dd.Bdd.var mgr))
+        Netlist.Cell.eval logic kind (Array.init arity (Util.var mgr))
       in
       List.iter
         (fun ins ->
           Alcotest.(check bool)
             (Netlist.Cell.name kind ^ " bdd agrees")
             (Netlist.Cell.eval_bool kind ins)
-            (Dd.Bdd.eval sym ins))
+            (Util.holds sym ins))
         (Util.assignments arity))
     Netlist.Cell.all_kinds
 

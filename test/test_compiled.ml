@@ -64,11 +64,12 @@ let qcheck_eval =
   let vars = 6 in
   Util.qtest ~count:60 "compiled eval = Add.eval" (Util.expr_arbitrary ~vars)
     (fun e ->
-      let bdd_mgr = Dd.Bdd.manager () in
       let add_mgr = Dd.Add.manager () in
       let add =
-        Dd.Add.of_bdd add_mgr ~one_value:2.5 ~zero_value:0.25
-          (Util.bdd_of_expr bdd_mgr e)
+        Dd.Add.add add_mgr
+          (Dd.Add.mul add_mgr (Util.add_of_expr add_mgr e)
+             (Dd.Add.const add_mgr 2.25))
+          (Dd.Add.const add_mgr 0.25)
       in
       let program = Dd.Compiled.compile ~vars add in
       List.for_all
@@ -83,11 +84,12 @@ let qcheck_batch =
   let vars = 6 in
   Util.qtest ~count:40 "eval_batch = eval" (Util.expr_arbitrary ~vars)
     (fun e ->
-      let bdd_mgr = Dd.Bdd.manager () in
       let add_mgr = Dd.Add.manager () in
       let add =
-        Dd.Add.of_bdd add_mgr ~one_value:1.75 ~zero_value:0.5
-          (Util.bdd_of_expr bdd_mgr e)
+        Dd.Add.add add_mgr
+          (Dd.Add.mul add_mgr (Util.add_of_expr add_mgr e)
+             (Dd.Add.const add_mgr 1.25))
+          (Dd.Add.const add_mgr 0.5)
       in
       let program = Dd.Compiled.compile ~vars add in
       let envs = Array.of_list (Util.assignments vars) in

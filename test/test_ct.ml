@@ -1,4 +1,4 @@
-(* Kernel cost: the slot hash spreads every key family the managers use,
+(* Kernel cost: the slot hash spreads every key family the manager uses,
    apply work stays within the pair bound, and the terminal identities of
    Add.apply2 return the operand itself.  A lossy cache can only cost work,
    never change a value, so these are the tests that catch a bad hash. *)
@@ -24,7 +24,7 @@ let check_spread name slot_of =
     Alcotest.failf "%s: %d keys occupy %d of %d slots (want >= %d)" name keys n
       (1 lsl bits) min_slots
 
-let op_tags = List.init 5 Fun.id (* Bdd and Add both tag ops 0..4 *)
+let op_tags = List.init 9 Fun.id (* Add's ops 0..7 and shift 8 *)
 
 let fixed = 1 (* a small id, like the leaf every (node, Leaf 0) add reaches *)
 
@@ -38,14 +38,17 @@ let packed_keys_spread () =
           Dd.Ct.slot c (Dd.Ct.pack tag fixed b)))
     op_tags
 
-let two_word_keys_spread () =
-  let c = Dd.Ct.cache2 ~bits ~dummy:0 in
-  let slot f g h = Dd.Ct.slot2 c (Dd.Ct.pack2 f g) h in
-  check_spread "ite (f, fixed g, fixed h)" (fun f -> slot f fixed 0);
-  check_spread "ite (fixed f, g, fixed h)" (fun g -> slot fixed g 0);
-  check_spread "ite (fixed f, fixed g, h)" (fun h -> slot fixed 0 h);
-  (* shift keys are (node id, offset) *)
-  check_spread "shift (id, fixed offset)" (fun id -> slot id 1 0)
+(* Shift keys are (shift tag, node id, offset mod 2^29): a negative offset
+   lands at the top of the id range. *)
+let shift_keys_spread () =
+  let c = Dd.Ct.cache ~bits ~dummy:0 in
+  let slot id k =
+    Dd.Ct.slot c (Dd.Ct.pack 8 id (k land (Dd.Ct.id_limit - 1)))
+  in
+  check_spread "shift (id, offset 1)" (fun id -> slot id 1);
+  check_spread "shift (id, offset -1)" (fun id -> slot id (-1));
+  check_spread "shift (fixed id, offset)" (fun k -> slot fixed (k + 1));
+  check_spread "shift (fixed id, negative offset)" (fun k -> slot fixed (-k - 1))
 
 let unique_triples_spread () =
   let mask = (1 lsl bits) - 1 in
@@ -89,19 +92,20 @@ let operand_gen =
       (1, map (fun k -> Const (float_of_int k)) (int_range 2 5));
     ]
 
-let bdd_of_term bm = function
+let node_function m = function
   | Xor_chain vs ->
     List.fold_left
-      (fun f v -> Dd.Bdd.bxor bm f (Dd.Bdd.var bm v))
-      Dd.Bdd.zero vs
-  | Expr e -> Util.bdd_of_expr bm e
+      (fun f v -> Util.bxor m f (Util.var m v))
+      (Util.of_bool m false) vs
+  | Expr e -> Util.add_of_expr m e
 
-let build_operand m bm = function
+let build_operand m = function
   | Const v -> Dd.Add.const m v
   | Sum terms ->
     List.fold_left
       (fun acc (w, t) ->
-        Dd.Add.add m acc (Dd.Add.of_bdd m ~one_value:w (bdd_of_term bm t)))
+        Dd.Add.add m acc
+          (Dd.Add.mul m (node_function m t) (Dd.Add.const m w)))
       (Dd.Add.const m 0.0) terms
 
 let ops =
@@ -113,8 +117,8 @@ let work_bound =
     (QCheck.make ~print:(fun _ -> "<operands>")
        (QCheck.Gen.pair operand_gen operand_gen))
     (fun (ta, tb) ->
-      let m = Dd.Add.manager () and bm = Dd.Bdd.manager () in
-      let a = build_operand m bm ta and b = build_operand m bm tb in
+      let m = Dd.Add.manager () in
+      let a = build_operand m ta and b = build_operand m tb in
       let bound = c * Dd.Add.size a * Dd.Add.size b in
       List.for_all
         (fun (op, name) ->
@@ -143,27 +147,41 @@ let parity_ub_misses_per_node () =
 
 (* ---- terminal identities ------------------------------------------- *)
 
-let sample m bm =
-  let v = Dd.Bdd.var bm in
-  let f = Dd.Bdd.bxor bm (v 0) (Dd.Bdd.band bm (v 1) (v 2)) in
-  let g = Dd.Bdd.bor bm (v 1) (v 3) in
+let sample_function m =
+  let v = Util.var m in
+  Util.bxor m (v 0) (Util.band m (v 1) (v 2))
+
+let sample m =
+  let g = Util.bor m (Util.var m 1) (Util.var m 3) in
   Dd.Add.add m
-    (Dd.Add.of_bdd m ~one_value:2.5 f)
-    (Dd.Add.of_bdd m ~one_value:4.0 g)
+    (Dd.Add.mul m (sample_function m) (Dd.Add.const m 2.5))
+    (Dd.Add.mul m g (Dd.Add.const m 4.0))
 
 let identities_return_the_operand () =
-  let m = Dd.Add.manager () and bm = Dd.Bdd.manager () in
-  let x = sample m bm in
+  let m = Dd.Add.manager () in
+  let x = sample m and f = sample_function m in
   let zero = Dd.Add.const m 0.0 and one = Dd.Add.const m 1.0 in
   let before = Dd.Add.unique_size m in
   Dd.Add.clear_caches m;
-  let same name r = Alcotest.(check bool) name true (Dd.Add.equal r x) in
+  let is name r expected =
+    Alcotest.(check bool) name true (Dd.Add.equal r expected)
+  in
+  let same name r = is name r x in
   same "x + 0" (Dd.Add.add m x zero);
   same "0 + x" (Dd.Add.add m zero x);
   same "x * 1" (Dd.Add.mul m x one);
   same "1 * x" (Dd.Add.mul m one x);
   same "min x x" (Dd.Add.apply2 m Dd.Add.Min x x);
   same "max x x" (Dd.Add.apply2 m Dd.Add.Max x x);
+  (* the Boolean cases, on a 0/1 operand *)
+  let bool name op a b expected = is name (Dd.Add.apply2 m op a b) expected in
+  bool "f and 0" Dd.Add.And f zero zero;
+  bool "1 and f" Dd.Add.And one f f;
+  bool "f and f" Dd.Add.And f f f;
+  bool "f or 1" Dd.Add.Or f one one;
+  bool "0 or f" Dd.Add.Or zero f f;
+  bool "f xor 0" Dd.Add.Xor f zero f;
+  bool "f xor f" Dd.Add.Xor f f zero;
   Alcotest.(check int) "no table work" 0
     (Dd.Perf.total_hits (Dd.Add.perf m) + Dd.Perf.total_misses (Dd.Add.perf m));
   Alcotest.(check int) "no node made" before (Dd.Add.unique_size m)
@@ -173,10 +191,8 @@ let bits_of t = List.map Int64.bits_of_float (Dd.Add.terminal_values t)
 (* -0.0 + 0.0 is +0.0, so x + (+0.0) must rebuild an operand holding -0.0,
    while x + (-0.0) is exact for every x. *)
 let plus_zero_keeps_signed_zeros () =
-  let m = Dd.Add.manager () and bm = Dd.Bdd.manager () in
-  let x =
-    Dd.Add.of_bdd m ~one_value:3.0 ~zero_value:(-0.0) (Dd.Bdd.var bm 0)
-  in
+  let m = Dd.Add.manager () in
+  let x = Util.ite_var m 0 3.0 (-0.0) in
   let pos = Dd.Add.add m x (Dd.Add.const m 0.0) in
   Alcotest.(check (list int64)) "x + 0.0 turns -0.0 into +0.0"
     (List.map Int64.bits_of_float [ 0.0; 3.0 ])
@@ -186,10 +202,8 @@ let plus_zero_keeps_signed_zeros () =
 
 (* x * 0 is no identity: inf * 0 is NaN and -3 * 0 is -0.0. *)
 let times_zero_is_computed () =
-  let m = Dd.Add.manager () and bm = Dd.Bdd.manager () in
-  let x =
-    Dd.Add.of_bdd m ~one_value:infinity ~zero_value:(-3.0) (Dd.Bdd.var bm 0)
-  in
+  let m = Dd.Add.manager () in
+  let x = Util.ite_var m 0 infinity (-3.0) in
   let r = Dd.Add.mul m x (Dd.Add.const m 0.0) in
   let v = Dd.Add.eval r [| true |] and w = Dd.Add.eval r [| false |] in
   Alcotest.(check bool) "inf * 0 is NaN" true (Float.is_nan v);
@@ -198,7 +212,7 @@ let times_zero_is_computed () =
 let suite =
   [
     Alcotest.test_case "packed keys spread" `Quick packed_keys_spread;
-    Alcotest.test_case "two-word keys spread" `Quick two_word_keys_spread;
+    Alcotest.test_case "shift keys spread" `Quick shift_keys_spread;
     Alcotest.test_case "unique triples spread" `Quick unique_triples_spread;
     work_bound;
     Alcotest.test_case "parity ub misses per node" `Quick parity_ub_misses_per_node;

@@ -21,7 +21,6 @@ let vars_mapping () =
       ignore (Powermodel.Vars.env ~x_i:[| true |] ~x_f:[| true; false |]))
 
 let dot_export () =
-  let mgr = Dd.Bdd.manager () in
   let count_sub needle s =
     let ln = String.length needle and ls = String.length s in
     let rec go i acc =
@@ -32,10 +31,7 @@ let dot_export () =
     go 0 0
   in
   let amgr = Dd.Add.manager () in
-  let a =
-    Dd.Add.ite amgr (Dd.Bdd.var mgr 0) (Dd.Add.const amgr 2.0)
-      (Dd.Add.const amgr 1.0)
-  in
+  let a = Util.ite_var amgr 0 2.0 1.0 in
   let adot = Dd.Dot.add ~name:"a" a in
   (* ite(x0, 2, 1): 1 node for x0, 2 leaves = 3 node lines, 2 edges *)
   Alcotest.(check int) "node lines" 3 (count_sub "[shape=" adot);

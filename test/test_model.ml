@@ -363,8 +363,9 @@ let budget_degrades_before_failing () =
   let circuit = Circuits.Decoder.decod () in
   let reference = Powermodel.Model.build ~max_size:200 circuit in
   let bdd_nodes = reference.Powermodel.Model.stats.bdd_nodes in
-  (* a ceiling just above the incompressible BDD working set: the ADD side
-     must degrade (halve its effective MAX) but can still finish *)
+  (* a ceiling just above the node functions' live working set, which no
+     collapse can shrink: the accumulator must degrade (halve its
+     effective MAX) but can still finish *)
   let budget = Guard.Budget.create ~node_ceiling:(bdd_nodes + 60) () in
   let model = Powermodel.Model.build ~budget ~max_size:200 circuit in
   let s = model.Powermodel.Model.stats in
@@ -410,6 +411,32 @@ let build_checked_validation () =
       (Guard.Error.kind_name error.Guard.Error.kind);
     Alcotest.(check bool) "no partial stats" true (partial = None)
 
+(* A load scales a 0/1 node function by multiplication, so only finite,
+   non-negative loads are physical: anything else is a validation error. *)
+let build_rejects_bad_loads () =
+  let c, loads = fig2 () in
+  let expect_validation what result =
+    match result with
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+    | Error { Powermodel.Model.error; partial } ->
+      Alcotest.(check string) (what ^ ": validation kind") "validation"
+        (Guard.Error.kind_name error.Guard.Error.kind);
+      Alcotest.(check bool) (what ^ ": no partial stats") true (partial = None)
+  in
+  List.iter
+    (fun (what, bad) ->
+      let l = Array.copy loads in
+      l.(Array.length l - 1) <- bad;
+      expect_validation ("load " ^ what)
+        (Powermodel.Model.build_checked ~loads:l c);
+      expect_validation ("output_load " ^ what)
+        (Powermodel.Model.build_checked ~output_load:bad c))
+    [ ("-1", -1.0); ("nan", Float.nan); ("inf", Float.infinity);
+      ("-inf", Float.neg_infinity) ];
+  match Powermodel.Model.build_checked ~loads ~output_load:0.0 c with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "zero and positive loads are valid"
+
 let suite =
   [
     Alcotest.test_case "paper Fig. 3 model" `Quick paper_fig3_model;
@@ -421,6 +448,8 @@ let suite =
     Alcotest.test_case "budget expired deadline" `Quick budget_expired_deadline;
     Alcotest.test_case "build_checked validation" `Quick
       build_checked_validation;
+    Alcotest.test_case "build rejects bad loads" `Quick
+      build_rejects_bad_loads;
     Alcotest.test_case "exact == simulator (exhaustive)" `Slow
       exact_model_matches_simulator_exhaustive;
     Alcotest.test_case "bounded model respects MAX" `Quick

@@ -1,21 +1,25 @@
-(* Dd.Perf: counters fire on the BDD/ADD caches, reset with clear_caches,
+(* Dd.Perf: counters fire on the computed table, reset with clear_caches,
    survive model construction, and round-trip through JSON. *)
 
 let bdd_counters_fire_and_reset () =
-  let m = Dd.Bdd.manager () in
-  let a = Dd.Bdd.var m 0 and b = Dd.Bdd.var m 1 and c = Dd.Bdd.var m 2 in
-  let f = Dd.Bdd.band m a (Dd.Bdd.bor m b c) in
-  let f' = Dd.Bdd.band m a (Dd.Bdd.bor m b c) in
-  Alcotest.(check bool) "hash-consed" true (Dd.Bdd.equal f f');
-  let p = Dd.Bdd.perf m in
+  let m = Dd.Add.manager () in
+  let a = Util.var m 0 and b = Util.var m 1 and c = Util.var m 2 in
+  let f = Util.band m a (Util.bor m b c) in
+  let f' = Util.band m a (Util.bor m b c) in
+  Alcotest.(check bool) "hash-consed" true (Dd.Add.equal f f');
+  ignore (Dd.Add.shift m 1 f);
+  ignore (Dd.Add.shift m 1 f);
+  let p = Dd.Add.perf m in
   Alcotest.(check bool) "and hits" true (Dd.Perf.hits p "and" > 0);
   Alcotest.(check bool) "and misses" true (Dd.Perf.misses p "and" > 0);
   Alcotest.(check bool) "or hits" true (Dd.Perf.hits p "or" > 0);
+  Alcotest.(check bool) "shift hits" true (Dd.Perf.hits p "shift" > 0);
+  Alcotest.(check bool) "shift misses" true (Dd.Perf.misses p "shift" > 0);
   Alcotest.(check bool) "peak nodes" true (Dd.Perf.peak_nodes p > 0);
-  Alcotest.(check bool) "unique table" true (Dd.Bdd.unique_size m > 0);
+  Alcotest.(check bool) "unique table" true (Dd.Add.unique_size m > 0);
   Alcotest.(check bool) "hit rate in (0,1]" true
     (Dd.Perf.total_hit_rate p > 0.0 && Dd.Perf.total_hit_rate p <= 1.0);
-  Dd.Bdd.clear_caches m;
+  Dd.Add.clear_caches m;
   Alcotest.(check int) "hits reset" 0 (Dd.Perf.total_hits p);
   Alcotest.(check int) "misses reset" 0 (Dd.Perf.total_misses p);
   Alcotest.(check int) "peak reset" 0 (Dd.Perf.peak_nodes p);
@@ -23,10 +27,9 @@ let bdd_counters_fire_and_reset () =
 
 let add_counters_fire_and_reset () =
   let m = Dd.Add.manager () in
-  let bm = Dd.Bdd.manager () in
-  let g = Dd.Bdd.bor bm (Dd.Bdd.var bm 0) (Dd.Bdd.var bm 1) in
-  let x = Dd.Add.of_bdd m ~one_value:2.5 g in
-  let y = Dd.Add.of_bdd m ~one_value:4.0 (Dd.Bdd.var bm 2) in
+  let g = Util.bor m (Util.var m 0) (Util.var m 1) in
+  let x = Dd.Add.mul m g (Dd.Add.const m 2.5) in
+  let y = Util.ite_var m 2 4.0 0.0 in
   let s = Dd.Add.add m x y in
   let s' = Dd.Add.add m x y in
   Alcotest.(check bool) "hash-consed" true (Dd.Add.equal s s');
@@ -51,12 +54,12 @@ let case_study_build_counts () =
     <= model.Powermodel.Model.stats.Powermodel.Model.approx_calls)
 
 let json_roundtrip () =
-  let m = Dd.Bdd.manager () in
-  let vs = List.init 6 (Dd.Bdd.var m) in
-  ignore (Dd.Bdd.band_list m vs);
-  ignore (List.fold_left (Dd.Bdd.bor m) Dd.Bdd.zero vs);
-  ignore (Dd.Bdd.bxor m (List.nth vs 0) (List.nth vs 1));
-  let p = Dd.Bdd.perf m in
+  let m = Dd.Add.manager () in
+  let vs = List.init 6 (Util.var m) in
+  ignore (List.fold_left (Util.band m) (Util.of_bool m true) vs);
+  ignore (List.fold_left (Util.bor m) (Util.of_bool m false) vs);
+  ignore (Util.bxor m (List.nth vs 0) (List.nth vs 1));
+  let p = Dd.Add.perf m in
   Dd.Perf.note_collapse p;
   let s = Json.to_string (Dd.Perf.to_json p) in
   match Json.of_string s with

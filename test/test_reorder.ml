@@ -23,11 +23,12 @@ let qcheck_add_sift =
   let vars = 6 in
   Util.qtest ~count:80 "add sift preserves all values"
     (Util.expr_arbitrary ~vars) (fun e ->
-      let bdd_mgr = Dd.Bdd.manager () in
       let add_mgr = Dd.Add.manager () in
       let f =
-        Dd.Add.of_bdd add_mgr ~one_value:2.75 ~zero_value:0.375
-          (Util.bdd_of_expr bdd_mgr e)
+        Dd.Add.add add_mgr
+          (Dd.Add.mul add_mgr (Util.add_of_expr add_mgr e)
+             (Dd.Add.const add_mgr 2.375))
+          (Dd.Add.const add_mgr 0.375)
       in
       let expected =
         List.map (fun env -> (env, Dd.Add.eval f env)) (Util.assignments vars)
@@ -153,49 +154,36 @@ let qcheck_set_order =
   let vars = 6 in
   Util.qtest ~count:60 "set_order builds the same functions"
     (Util.expr_arbitrary ~vars) (fun e ->
-      let natural = Dd.Bdd.manager () in
-      let f_nat = Util.bdd_of_expr natural e in
-      let bdd_mgr = Dd.Bdd.manager () in
+      let natural = Dd.Add.manager () in
+      let f_nat = Util.add_of_expr natural e in
       let add_mgr = Dd.Add.manager () in
-      (* reversed order, on both managers so of_bdd stays legal *)
+      (* reversed order *)
       let ord = Array.init vars (fun l -> vars - 1 - l) in
-      Dd.Bdd.set_order bdd_mgr ord;
       Dd.Add.set_order add_mgr ord;
-      let f = Util.bdd_of_expr bdd_mgr e in
-      let a = Dd.Add.of_bdd add_mgr ~one_value:1.5 f in
+      let f = Util.add_of_expr add_mgr e in
+      let a = Dd.Add.mul add_mgr f (Dd.Add.const add_mgr 1.5) in
       List.for_all
         (fun env ->
-          Dd.Bdd.eval f env = Dd.Bdd.eval f_nat env
+          Util.holds f env = Util.holds f_nat env
           && Int64.bits_of_float (Dd.Add.eval a env)
-             = Int64.bits_of_float (if Dd.Bdd.eval f_nat env then 1.5 else 0.0))
+             = Int64.bits_of_float (if Util.holds f_nat env then 1.5 else 0.0))
         (Util.assignments vars))
 
 (* ---- set_order rejects non-permutations and late calls ---- *)
 
 let set_order_checks () =
-  let check name set_order fresh add_node =
-    let not_perm =
-      Invalid_argument (name ^ ".set_order: not a permutation of 0..n-1")
-    in
-    Alcotest.check_raises (name ^ " duplicate") not_perm (fun () ->
-        set_order (fresh ()) [| 0; 1; 1 |]);
-    Alcotest.check_raises (name ^ " out of range") not_perm (fun () ->
-        set_order (fresh ()) [| 0; 3; 1 |]);
-    let m = fresh () in
-    add_node m;
-    Alcotest.check_raises (name ^ " after a node")
-      (Invalid_argument (name ^ ".set_order: manager already contains nodes"))
-      (fun () -> set_order m [| 1; 0 |])
+  let not_perm =
+    Invalid_argument "Add.set_order: not a permutation of 0..n-1"
   in
-  check "Bdd" Dd.Bdd.set_order
-    (fun () -> Dd.Bdd.manager ())
-    (fun m -> ignore (Dd.Bdd.var m 0 : Dd.Bdd.t));
-  check "Add" Dd.Add.set_order
-    (fun () -> Dd.Add.manager ())
-    (fun m ->
-      ignore
-        (Dd.Add.make_node m 0 (Dd.Add.const m 0.0) (Dd.Add.const m 1.0)
-          : Dd.Add.t))
+  Alcotest.check_raises "duplicate" not_perm (fun () ->
+      Dd.Add.set_order (Dd.Add.manager ()) [| 0; 1; 1 |]);
+  Alcotest.check_raises "out of range" not_perm (fun () ->
+      Dd.Add.set_order (Dd.Add.manager ()) [| 0; 3; 1 |]);
+  let m = Dd.Add.manager () in
+  ignore (Util.var m 0 : Dd.Add.t);
+  Alcotest.check_raises "after a node"
+    (Invalid_argument "Add.set_order: manager already contains nodes")
+    (fun () -> Dd.Add.set_order m [| 1; 0 |])
 
 (* ---- the info measure produces a valid, deterministic pair order ---- *)
 

@@ -11,7 +11,48 @@ let check_close ?(eps = 1e-9) msg expected actual =
 let assignments n =
   List.init (1 lsl n) (fun k -> Array.init n (fun i -> (k lsr i) land 1 = 1))
 
-(* Simple first-order Boolean expressions for randomized BDD testing. *)
+(* Node functions are 0/1 ADDs: a BDD without complement edges is exactly
+   a reduced ADD over the leaves 0 and 1. *)
+let var mgr i =
+  Dd.Add.make_node mgr i (Dd.Add.const mgr 0.0) (Dd.Add.const mgr 1.0)
+
+let of_bool mgr b = Dd.Add.const mgr (if b then 1.0 else 0.0)
+let band mgr = Dd.Add.apply2 mgr Dd.Add.And
+let bor mgr = Dd.Add.apply2 mgr Dd.Add.Or
+let bxor mgr = Dd.Add.apply2 mgr Dd.Add.Xor
+
+let add_logic mgr =
+  {
+    Netlist.Cell.ltrue = of_bool mgr true;
+    lfalse = of_bool mgr false;
+    lnot = Dd.Add.bnot mgr;
+    land_ = band mgr;
+    lor_ = bor mgr;
+    lxor_ = bxor mgr;
+  }
+
+(* Decision of a 0/1 diagram under an assignment. *)
+let holds f env = Dd.Add.eval f env = 1.0
+
+(* [if v then hi else lo] over two constants: the one-node fixture. *)
+let ite_var mgr v hi lo =
+  Dd.Add.make_node mgr v (Dd.Add.const mgr lo) (Dd.Add.const mgr hi)
+
+(* [if guard then g else h] for a 0/1 [guard], as guard*g + (1-guard)*h.
+   Exact for finite non-negative branch values, the only ones the
+   randomized fixtures use: x*1 = x, x*0 = +0.0 and x + 0.0 = x. *)
+let ite mgr guard g h =
+  Dd.Add.add mgr (Dd.Add.mul mgr guard g)
+    (Dd.Add.mul mgr (Dd.Add.bnot mgr guard) h)
+
+(* Truth-table oracle: every net of [circuit] under every assignment of
+   its primary inputs, by the Boolean evaluator. *)
+let truth_table circuit =
+  List.map
+    (fun env -> (env, Netlist.Circuit.eval_all Netlist.Cell.bool_logic circuit env))
+    (assignments (Netlist.Circuit.input_count circuit))
+
+(* Simple first-order Boolean expressions for randomized 0/1-ADD testing. *)
 type expr =
   | Var of int
   | Const of bool
@@ -30,20 +71,20 @@ let rec eval_expr env = function
   | Xor (a, b) -> eval_expr env a <> eval_expr env b
   | Ite (c, t, e) -> if eval_expr env c then eval_expr env t else eval_expr env e
 
-let rec bdd_of_expr mgr = function
-  | Var i -> Dd.Bdd.var mgr i
-  | Const b -> Dd.Bdd.of_bool b
-  | Not e -> Dd.Bdd.bnot mgr (bdd_of_expr mgr e)
-  | And (a, b) -> Dd.Bdd.band mgr (bdd_of_expr mgr a) (bdd_of_expr mgr b)
-  | Or (a, b) -> Dd.Bdd.bor mgr (bdd_of_expr mgr a) (bdd_of_expr mgr b)
-  | Xor (a, b) -> Dd.Bdd.bxor mgr (bdd_of_expr mgr a) (bdd_of_expr mgr b)
+let rec add_of_expr mgr = function
+  | Var i -> var mgr i
+  | Const b -> of_bool mgr b
+  | Not e -> Dd.Add.bnot mgr (add_of_expr mgr e)
+  | And (a, b) -> band mgr (add_of_expr mgr a) (add_of_expr mgr b)
+  | Or (a, b) -> bor mgr (add_of_expr mgr a) (add_of_expr mgr b)
+  | Xor (a, b) -> bxor mgr (add_of_expr mgr a) (add_of_expr mgr b)
   | Ite (c, t, e) ->
     (* (c and t) or (not c and e): the same function as ite(c, t, e), so
        canonicity yields the same node *)
-    let c = bdd_of_expr mgr c in
-    Dd.Bdd.bor mgr
-      (Dd.Bdd.band mgr c (bdd_of_expr mgr t))
-      (Dd.Bdd.band mgr (Dd.Bdd.bnot mgr c) (bdd_of_expr mgr e))
+    let c = add_of_expr mgr c in
+    bor mgr
+      (band mgr c (add_of_expr mgr t))
+      (band mgr (Dd.Add.bnot mgr c) (add_of_expr mgr e))
 
 let expr_gen ~vars =
   let open QCheck.Gen in
