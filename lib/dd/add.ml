@@ -415,6 +415,48 @@ let size_in m t =
     Hashtbl.add m.size_memo id n;
     n
 
+(* Parents-first numbering on the visit stamps.  After counting, the
+   numbering reserves a block of [count] generations past the current one
+   and stamps each node with [base + index] when its visit finishes.  In a
+   DAG no node is met again while its own visit is open, so the finished
+   mark is the only one needed, and any later parent reads its child's
+   index back as [stamp - base].  Indices are handed out from [count - 1]
+   down in post-order (low before high), so the order is [fold_nodes]'s
+   reversed. *)
+let topo m t =
+  let count = stamp_count m t ~limit:max_int in
+  let base = m.stamp_gen + 1 in
+  m.stamp_gen <- base + count;
+  let stamp = m.stamp in
+  let nodes = Array.make count t in
+  let low = Array.make count (-1) in
+  let high = Array.make count (-1) in
+  let next = ref count in
+  let rec go t =
+    let id = node_id t in
+    if stamp.(id) >= base then stamp.(id) - base
+    else begin
+      let i =
+        match t with
+        | Leaf _ ->
+          decr next;
+          !next
+        | Node n ->
+          let l = go n.low in
+          let h = go n.high in
+          decr next;
+          low.(!next) <- l;
+          high.(!next) <- h;
+          !next
+      in
+      nodes.(i) <- t;
+      stamp.(id) <- base + i;
+      i
+    end
+  in
+  ignore (go t : int);
+  (nodes, low, high)
+
 let internal_count t =
   fold_nodes t ~init:0 ~f:(fun n t ->
       match t with Leaf _ -> n | Node _ -> n + 1)

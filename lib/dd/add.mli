@@ -107,6 +107,14 @@ val size_in : manager -> t -> int
 (** Exact size via the manager's visit stamps, memoized per root id (O(1)
     when asked again for the same root).  [t] must live in [m]. *)
 
+val topo : manager -> t -> t array * int array * int array
+(** [topo m t] is [(nodes, low, high)]: every node reachable from [t]
+    once, parents first ([nodes.(0) == t]; the order of {!fold_nodes}
+    reversed), with each internal node's child indices into [nodes]
+    ([-1] for leaves).  Numbered on the manager's visit stamps like
+    {!size_under}: no hashing and no id-indexed scratch array.  [t] must
+    live in [m]. *)
+
 val internal_count : t -> int
 (** Number of non-leaf nodes. *)
 

@@ -42,7 +42,6 @@ val strategy_name : strategy -> string
 
 val compress :
   ?weighting:weighting ->
-  ?resift:bool ->
   Add.manager -> strategy:strategy -> max_size:int -> Add.t -> Add.t
 (** [compress m ~strategy ~max_size f] returns [f] unchanged if
     [Add.size f <= max_size]; otherwise collapses lowest-priority sub-ADDs
@@ -53,9 +52,9 @@ val compress :
     collapse pass is counted into the target manager's {!Perf}
     counters.
 
-    [resift] (default false) runs a pair-grouped {!Add.sift} on the result
-    before returning.  {b End-of-build use only}: the sift sweeps the
-    manager to its protected roots, so everything except the result (and
-    any roots the caller protected) is dropped, and the manager's variable
-    order changes.  The returned diagram itself is reordered in place,
-    function-preserved. *)
+    Each collapse plans over one flat {!Markov.view} and allocates its
+    working arrays per call; nothing is kept across calls.  The search
+    sizes candidate collapses without building them, counting leaf
+    constants by IEEE bits as the manager shares them, so a probe equals
+    the built size.  [approx.plan_nodes] sums the view sizes planned over
+    and [approx.probes] counts the probes ({!Obs.Metrics}). *)

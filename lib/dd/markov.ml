@@ -58,28 +58,37 @@ type view = {
   low : int array;
   high : int array;
   leaf_value : float array;
+  low_slot : int array;
+  high_slot : int array;
 }
 
-let view root =
-  let order = Add.fold_nodes root ~init:[] ~f:(fun acc n -> n :: acc) in
-  let nodes = Array.of_list order in
+(* Context a child of internal node i is reached in: the branch value when
+   i is an initial copy and the child tests its final-copy partner. *)
+let child_ctx var i branch child =
+  if var.(i) land 1 = 0 && var.(child) = var.(i) + 1 then
+    if branch then 2 else 1
+  else 0
+
+let view m root =
+  let nodes, low, high = Add.topo m root in
   let count = Array.length nodes in
-  let index : (int, int) Hashtbl.t = Hashtbl.create (2 * count) in
-  Array.iteri (fun i n -> Hashtbl.replace index (Add.node_id n) i) nodes;
   let var = Array.make count (-1) in
-  let low = Array.make count (-1) in
-  let high = Array.make count (-1) in
   let leaf_value = Array.make count 0.0 in
   Array.iteri
     (fun i node ->
       match node with
       | Add.Leaf l -> leaf_value.(i) <- l.value
-      | Add.Node n ->
-        var.(i) <- n.var;
-        low.(i) <- Hashtbl.find index (Add.node_id n.low);
-        high.(i) <- Hashtbl.find index (Add.node_id n.high))
+      | Add.Node n -> var.(i) <- n.var)
     nodes;
-  { nodes; var; low; high; leaf_value }
+  let low_slot = Array.make count (-1) in
+  let high_slot = Array.make count (-1) in
+  for i = 0 to count - 1 do
+    if var.(i) >= 0 then begin
+      low_slot.(i) <- (3 * low.(i)) + child_ctx var i false low.(i);
+      high_slot.(i) <- (3 * high.(i)) + child_ctx var i true high.(i)
+    end
+  done;
+  { nodes; var; low; high; leaf_value; low_slot; high_slot }
 
 type summary = {
   avg : float array;
@@ -135,86 +144,126 @@ let mse_lower s i = s.variance.(i) +. ((s.min.(i) -. s.avg.(i)) ** 2.0)
    between a variable pair's two levels: 0 none, 1 low, 2 high.  Layout:
    index 3i + ctx. *)
 
-(* Probability of the high branch at internal node i reached in context
-   ctx.  An initial copy follows the stationary marginal; a final copy
-   follows the chain from its pending partner, or the marginal when the
-   partner was not on the path. *)
-let p_high v s =
-  let p_toggle_from_low = p_toggle_given ~initial:false s in
-  let p_toggle_from_high = p_toggle_given ~initial:true s in
-  fun i ctx ->
-    if v.var.(i) land 1 = 0 then s.sp
-    else
-      match ctx with
-      | 1 -> p_toggle_from_low
-      | 2 -> 1.0 -. p_toggle_from_high
-      | _ -> s.sp
+(* Probability of the high branch at an internal node, by the context
+   (0, 1, 2) it is reached in.  A final copy follows the chain from its
+   pending partner, or the marginal when the partner was not on the path;
+   an initial copy always follows the marginal, context 0's value. *)
+let p_high s =
+  (s.sp, p_toggle_given ~initial:false s, 1.0 -. p_toggle_given ~initial:true s)
 
-(* Context a child of internal node i is reached in: the branch value when
-   i is an initial copy and the child tests its final-copy partner. *)
-let child_ctx v i branch child =
-  if v.var.(i) land 1 = 0 && v.var.(child) = v.var.(i) + 1 then
-    if branch then 2 else 1
-  else 0
+(* Even-variable nodes and leaves are only ever reached in context 0 (a
+   pending partner is always an odd variable), and their high-branch
+   probability does not depend on the context; so the moment pass
+   computes their context-0 slot and copies it, and the mass pass
+   spreads only context 0 of them. *)
+
+let moments_into v s m1 m2 =
+  let p0, p1, p2 = p_high s in
+  let var = v.var and low_slot = v.low_slot and high_slot = v.high_slot in
+  (* children appear after parents, so a reverse sweep is bottom-up *)
+  for i = Array.length var - 1 downto 0 do
+    let b = 3 * i in
+    let ls = low_slot.(i) in
+    if ls < 0 then begin
+      let x = v.leaf_value.(i) in
+      let x2 = x *. x in
+      m1.(b) <- x;
+      m1.(b + 1) <- x;
+      m1.(b + 2) <- x;
+      m2.(b) <- x2;
+      m2.(b + 1) <- x2;
+      m2.(b + 2) <- x2
+    end
+    else begin
+      let hs = high_slot.(i) in
+      let l1 = m1.(ls) and h1 = m1.(hs) and l2 = m2.(ls) and h2 = m2.(hs) in
+      let e1 = ((1.0 -. p0) *. l1) +. (p0 *. h1)
+      and e2 = ((1.0 -. p0) *. l2) +. (p0 *. h2) in
+      m1.(b) <- e1;
+      m2.(b) <- e2;
+      if var.(i) land 1 = 0 then begin
+        m1.(b + 1) <- e1;
+        m1.(b + 2) <- e1;
+        m2.(b + 1) <- e2;
+        m2.(b + 2) <- e2
+      end
+      else begin
+        m1.(b + 1) <- ((1.0 -. p1) *. l1) +. (p1 *. h1);
+        m2.(b + 1) <- ((1.0 -. p1) *. l2) +. (p1 *. h2);
+        m1.(b + 2) <- ((1.0 -. p2) *. l1) +. (p2 *. h1);
+        m2.(b + 2) <- ((1.0 -. p2) *. l2) +. (p2 *. h2)
+      end
+    end
+  done
+
+let masses_into v s mass =
+  let p0, p1, p2 = p_high s in
+  let var = v.var and low_slot = v.low_slot and high_slot = v.high_slot in
+  Array.fill mass 0 (Array.length mass) 0.0;
+  mass.(0) <- 1.0;
+  for i = 0 to Array.length var - 1 do
+    let ls = low_slot.(i) in
+    if ls >= 0 then begin
+      let b = 3 * i and hs = high_slot.(i) in
+      let m = mass.(b) in
+      if m > 0.0 then begin
+        mass.(ls) <- mass.(ls) +. ((1.0 -. p0) *. m);
+        mass.(hs) <- mass.(hs) +. (p0 *. m)
+      end;
+      if var.(i) land 1 = 1 then begin
+        let m = mass.(b + 1) in
+        if m > 0.0 then begin
+          mass.(ls) <- mass.(ls) +. ((1.0 -. p1) *. m);
+          mass.(hs) <- mass.(hs) +. (p1 *. m)
+        end;
+        let m = mass.(b + 2) in
+        if m > 0.0 then begin
+          mass.(ls) <- mass.(ls) +. ((1.0 -. p2) *. m);
+          mass.(hs) <- mass.(hs) +. (p2 *. m)
+        end
+      end
+    end
+  done
 
 let moments v s =
   let count = Array.length v.nodes in
   let m1 = Array.make (3 * count) 0.0 in
   let m2 = Array.make (3 * count) 0.0 in
-  let p_high = p_high v s in
-  (* even-variable and leaf nodes are context-insensitive, so all three
-     slots share one value *)
-  for i = count - 1 downto 0 do
-    if v.var.(i) < 0 then begin
-      let x = v.leaf_value.(i) in
-      for ctx = 0 to 2 do
-        m1.((3 * i) + ctx) <- x;
-        m2.((3 * i) + ctx) <- x *. x
-      done
-    end
-    else begin
-      let l = v.low.(i) and h = v.high.(i) in
-      let lc = child_ctx v i false l and hc = child_ctx v i true h in
-      for ctx = 0 to 2 do
-        let p = p_high i ctx in
-        m1.((3 * i) + ctx) <-
-          ((1.0 -. p) *. m1.((3 * l) + lc)) +. (p *. m1.((3 * h) + hc));
-        m2.((3 * i) + ctx) <-
-          ((1.0 -. p) *. m2.((3 * l) + lc)) +. (p *. m2.((3 * h) + hc))
-      done
-    end
-  done;
+  moments_into v s m1 m2;
   (m1, m2)
 
 let masses v s =
-  let count = Array.length v.nodes in
-  let mass = Array.make (3 * count) 0.0 in
-  let p_high = p_high v s in
-  mass.(0) <- 1.0;
-  for i = 0 to count - 1 do
-    if v.var.(i) >= 0 then begin
-      let l = v.low.(i) and h = v.high.(i) in
-      let lc = child_ctx v i false l and hc = child_ctx v i true h in
-      for ctx = 0 to 2 do
-        let m = mass.((3 * i) + ctx) in
-        if m > 0.0 then begin
-          let p = p_high i ctx in
-          mass.((3 * l) + lc) <- mass.((3 * l) + lc) +. ((1.0 -. p) *. m);
-          mass.((3 * h) + hc) <- mass.((3 * h) + hc) +. (p *. m)
-        end
-      done
-    end
-  done;
+  let mass = Array.make (3 * Array.length v.nodes) 0.0 in
+  masses_into v s mass;
   mass
 
-let mixed mass (m1, m2) i ~default1 ~default2 =
-  let t = mass.(3 * i) +. mass.((3 * i) + 1) +. mass.((3 * i) + 2) in
-  if t <= 0.0 then (0.0, default1, default2)
-  else begin
-    let acc1 = ref 0.0 and acc2 = ref 0.0 in
-    for ctx = 0 to 2 do
-      acc1 := !acc1 +. (mass.((3 * i) + ctx) *. m1.((3 * i) + ctx));
-      acc2 := !acc2 +. (mass.((3 * i) + ctx) *. m2.((3 * i) + ctx))
-    done;
-    (t, !acc1 /. t, !acc2 /. t)
-  end
+type rows = { m : float array; e1 : float array; e2 : float array }
+
+let mixed_into v (s : summary) mass m1 m2 rows o =
+  let rm = rows.m and re1 = rows.e1 and re2 = rows.e2 in
+  (* the leading [0.0 +.] is not redundant: it turns a -0.0 first product
+     into 0.0 *)
+  for i = 0 to Array.length v.nodes - 1 do
+    let b = 3 * i in
+    let t = mass.(b) +. mass.(b + 1) +. mass.(b + 2) in
+    if t <= 0.0 then begin
+      rm.(o + i) <- 0.0;
+      re1.(o + i) <- s.avg.(i);
+      re2.(o + i) <- s.variance.(i) +. (s.avg.(i) ** 2.0)
+    end
+    else begin
+      rm.(o + i) <- t;
+      re1.(o + i) <-
+        (0.0
+        +. (mass.(b) *. m1.(b))
+        +. (mass.(b + 1) *. m1.(b + 1))
+        +. (mass.(b + 2) *. m1.(b + 2)))
+        /. t;
+      re2.(o + i) <-
+        (0.0
+        +. (mass.(b) *. m2.(b))
+        +. (mass.(b + 1) *. m2.(b + 1))
+        +. (mass.(b + 2) *. m2.(b + 2)))
+        /. t
+    end
+  done

@@ -38,12 +38,21 @@ type view = {
   low : int array;  (** child indices; [-1] for leaves *)
   high : int array;
   leaf_value : float array;  (** meaningful where [var = -1] *)
+  low_slot : int array;
+      (** [3 * low + ctx]: the Markov-pass slot of the low child in the
+          context it is reached in from this node; [-1] for leaves *)
+  high_slot : int array;
 }
 
-val view : Add.t -> view
-(** Every node reachable from the root, once, in parents-first
-    topological order ([Add.fold_nodes] reversed).  The per-node passes
-    below return arrays indexed like [nodes]. *)
+val view : Add.manager -> Add.t -> view
+(** [view m root] is every node reachable from [root], once, in
+    parents-first topological order: post-order with the low child
+    before the high one, reversed, so [nodes.(0)] is the root and every
+    child sits after all its parents.  Numbered on [m]'s visit stamps
+    ({!Add.topo}); [root] must live in [m], and like {!Add.size_in} the
+    call writes [m]'s stamps, so calls on one manager from several
+    domains must be serialized.  The per-node passes below return arrays
+    indexed like [nodes]. *)
 
 (** {1 Uniform statistics (Eq. 5–8)} *)
 
@@ -80,13 +89,24 @@ val masses : view -> statistics -> float array
 (** Top-down: reach probability of every node in every context (the root
     has mass 1 in context 0). *)
 
-val mixed :
-  float array ->
-  float array * float array ->
-  int ->
-  default1:float ->
-  default2:float ->
-  float * float * float
-(** [mixed masses moments i] is node [i]'s [(mass, E[f | reach],
-    E[f^2 | reach])], mixing contexts by their masses.  Unreached nodes
-    report zero mass and the supplied default moments. *)
+val moments_into : view -> statistics -> float array -> float array -> unit
+(** [moments_into v s m1 m2] is {!moments} written into caller-owned
+    arrays of length [3 * Array.length v.nodes], bit for bit. *)
+
+val masses_into : view -> statistics -> float array -> unit
+(** {!masses} written into a caller-owned array of length
+    [3 * Array.length v.nodes], bit for bit. *)
+
+type rows = { m : float array; e1 : float array; e2 : float array }
+(** Per-node context mixes, written at an offset so one set of arrays can
+    hold several statistics' rows. *)
+
+val mixed_into :
+  view -> summary -> float array -> float array -> float array -> rows ->
+  int -> unit
+(** [mixed_into v s mass m1 m2 rows o], over the arrays of {!masses_into}
+    and {!moments_into}, writes every node [i]'s
+    [(mass, E[f | reach], E[f^2 | reach])], mixing its contexts by their
+    masses, at index [o + i] of [rows.m], [rows.e1] and [rows.e2].  An
+    unreached node gets zero mass and its uniform moments from [s]:
+    [avg] and [variance + avg^2]. *)

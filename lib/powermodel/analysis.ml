@@ -63,7 +63,9 @@ let worst_case_transition model =
    there is the expectation and no mass pass is needed. *)
 let expected_capacitance model ~sp ~st =
   let m1, _ =
-    Dd.Markov.moments (Dd.Markov.view model.Model.cap) { Dd.Markov.sp; st }
+    Dd.Markov.moments
+      (Dd.Markov.view model.Model.add_manager model.Model.cap)
+      { Dd.Markov.sp; st }
   in
   m1.(0)
 
@@ -101,7 +103,9 @@ let toggle_sensitivity model j =
     in
     go model.Model.cap
   in
-  let avg node = (Dd.Markov.summary (Dd.Markov.view node)).Dd.Markov.avg.(0) in
+  let avg node =
+    (Dd.Markov.summary (Dd.Markov.view mgr node)).Dd.Markov.avg.(0)
+  in
   let toggle =
     0.5 *. (avg (restrict2 false true) +. avg (restrict2 true false))
   in

@@ -557,7 +557,7 @@ let run_compiled ?jobs c vectors =
   }
 
 let average_capacitance t =
-  (Dd.Markov.summary (Dd.Markov.view t.cap)).Dd.Markov.avg.(0)
+  (Dd.Markov.summary (Dd.Markov.view t.add_manager t.cap)).Dd.Markov.avg.(0)
 
 let max_capacitance t = Dd.Add.max_value t.cap
 

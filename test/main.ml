@@ -21,6 +21,7 @@ let () =
       ("durable", Test_durable.suite);
       ("add-stats", Test_add_stats.suite);
       ("flat-view", Test_flat_view.suite);
+      ("plan-ref", Test_plan_ref.suite);
       ("approx", Test_approx.suite);
       ("cell", Test_cell.suite);
       ("circuit", Test_circuit.suite);

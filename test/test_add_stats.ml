@@ -47,7 +47,7 @@ let brute_stats spec =
   (avg, variance, vmin, vmax)
 
 (* Eq. 5-8 statistics of the root (index 0 of the flat view). *)
-let root_summary t = Dd.Markov.summary (Dd.Markov.view t)
+let root_summary t = Dd.Markov.summary (Dd.Markov.view mgr t)
 
 let test_root_stats =
   Util.qtest ~count:300 "avg/var/min/max equal brute force" arbitrary
@@ -76,7 +76,7 @@ let node_mass mass i = mass.(3 * i) +. mass.((3 * i) + 1) +. mass.((3 * i) + 2)
 let test_mass_conservation =
   Util.qtest ~count:100 "uniform mass: root 1, leaves sum to 1" arbitrary
     (fun spec ->
-      let v = Dd.Markov.view (build spec) in
+      let v = Dd.Markov.view mgr (build spec) in
       let mass = Dd.Markov.masses v Dd.Markov.uniform in
       let leaf_mass = ref 0.0 in
       Array.iteri
@@ -106,9 +106,19 @@ let markov_prob (a : Dd.Markov.statistics) x_i x_f =
 
 (* Context-mixed (mass, E[f], E[f^2]) of the root under [stats]. *)
 let root_moments stats t =
-  let v = Dd.Markov.view t in
-  Dd.Markov.mixed (Dd.Markov.masses v stats) (Dd.Markov.moments v stats) 0
-    ~default1:0.0 ~default2:0.0
+  let v = Dd.Markov.view mgr t in
+  let m1, m2 = Dd.Markov.moments v stats in
+  let count = Array.length v.nodes in
+  let rows =
+    {
+      Dd.Markov.m = Array.make count 0.0;
+      e1 = Array.make count 0.0;
+      e2 = Array.make count 0.0;
+    }
+  in
+  Dd.Markov.mixed_into v (Dd.Markov.summary v) (Dd.Markov.masses v stats) m1
+    m2 rows 0;
+  (rows.m.(0), rows.e1.(0), rows.e2.(0))
 
 let transitions () =
   List.concat_map

@@ -116,6 +116,57 @@ let unit_strategy_names () =
   Alcotest.(check string) "lower" "lower-bound"
     (Dd.Approx.strategy_name Dd.Approx.Lower_bound)
 
+(* A 15-node diagram holding both zeros.  The manager keeps [-0.0] and
+   [0.0] as two leaves (it shares leaves by IEEE bits), so a size probe
+   must count them twice: a probe that merged them by [compare] let the
+   search pick a collapse one node over the bound, and its fallback then
+   collapsed everything to one constant.  With [zero = 0.0] the same
+   shape has one zero leaf. *)
+let two_zeros zero =
+  let c = Dd.Add.const mgr in
+  let n v ~hi ~lo = Dd.Add.make_node mgr v lo hi in
+  n 1
+    ~hi:
+      (n 2
+         ~hi:(n 4 ~hi:(c 4.0) ~lo:(c 2.0))
+         ~lo:(n 4 ~hi:(n 5 ~hi:(c 2.0) ~lo:(c zero)) ~lo:(c 0.0)))
+    ~lo:
+      (n 2
+         ~hi:
+           (n 4
+              ~hi:(n 5 ~hi:(c 0.0) ~lo:(c 2.0))
+              ~lo:(n 5 ~hi:(c zero) ~lo:(c 3.0)))
+         ~lo:(n 4 ~hi:(c 0.0) ~lo:(n 5 ~hi:(c zero) ~lo:(c 3.0))))
+
+let unit_probe_counts_both_zeros () =
+  Alcotest.(check int) "diagram size" 15 (Dd.Add.size (two_zeros (-0.0)));
+  List.iter
+    (fun zero ->
+      List.iter
+        (fun max_size ->
+          let r =
+            Dd.Approx.compress ~weighting:Dd.Approx.Unweighted mgr
+              ~strategy:Dd.Approx.Average ~max_size (two_zeros zero)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "zero %h at max_size %d" zero max_size)
+            max_size (Dd.Add.size r))
+        [ 10; 11; 14 ])
+    [ -0.0; 0.0 ]
+
+(* The planner's work counters: one plan visits the whole diagram, and
+   its search probes at least once. *)
+let unit_plan_counters () =
+  let t = two_zeros 1.0 in
+  let plan_nodes = Obs.Metrics.metric "approx.plan_nodes"
+  and probes = Obs.Metrics.metric "approx.probes" in
+  let nodes0 = Obs.Metrics.value plan_nodes
+  and probes0 = Obs.Metrics.value probes in
+  ignore (Dd.Approx.compress mgr ~strategy:Dd.Approx.Average ~max_size:5 t);
+  Alcotest.(check int) "plan_nodes" (Dd.Add.size t)
+    (Obs.Metrics.value plan_nodes - nodes0);
+  if Obs.Metrics.value probes <= probes0 then Alcotest.fail "no probe counted"
+
 let unit_paper_example () =
   (* Fig. 2/4 of the paper: the switching-capacitance ADD of the 2-input
      unit with C1=40, C2=50, C3=10; check a few table rows and that the
@@ -140,6 +191,9 @@ let suite =
     Alcotest.test_case "invalid max_size" `Quick unit_invalid_max;
     Alcotest.test_case "strategy names" `Quick unit_strategy_names;
     Alcotest.test_case "paper fig2 build" `Quick unit_paper_example;
+    Alcotest.test_case "probes count -0.0 and 0.0 apart" `Quick
+      unit_probe_counts_both_zeros;
+    Alcotest.test_case "planner work counters" `Quick unit_plan_counters;
     test_size_bound;
     test_noop_when_small;
     test_upper_bound_conservative;

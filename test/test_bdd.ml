@@ -76,7 +76,7 @@ let test_sat_fraction =
       in
       Util.close
         (float_of_int count /. float_of_int (List.length envs))
-        (Dd.Markov.summary (Dd.Markov.view f)).Dd.Markov.avg.(0))
+        (Dd.Markov.summary (Dd.Markov.view mgr f)).Dd.Markov.avg.(0))
 
 let unit_size () =
   let x = Util.var mgr 0 in

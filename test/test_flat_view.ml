@@ -1,5 +1,5 @@
 (* The analytic passes over the flat view (Dd.Markov.summary, moments,
-   masses, mixed) against the per-node-Hashtbl implementations they
+   masses, mixed_into) against the per-node-Hashtbl implementations they
    replaced, kept here verbatim as the reference.  Every quantity must be
    bit-identical: collapse decisions, estimates and serve answers are
    derived from them. *)
@@ -209,8 +209,8 @@ let points seed =
 
 (* Every node's Eq. 7 statistics, and its mass and mixed moments at every
    point; returns the root expectations for further checks. *)
-let check_diagram name ~seed root =
-  let v = Dd.Markov.view root in
+let check_diagram name ~seed mgr root =
+  let v = Dd.Markov.view mgr root in
   let s = Dd.Markov.summary v in
   let reference = Ref.all root in
   Alcotest.(check int) (name ^ ": view covers every node")
@@ -228,7 +228,16 @@ let check_diagram name ~seed root =
     (fun (p : Dd.Markov.statistics) ->
       let tables = Ref.analyze p root in
       let mass = Dd.Markov.masses v p in
-      let moments = Dd.Markov.moments v p in
+      let m1, m2 = Dd.Markov.moments v p in
+      let count = Array.length v.nodes in
+      let rows =
+        {
+          Dd.Markov.m = Array.make count 0.0;
+          e1 = Array.make count 0.0;
+          e2 = Array.make count 0.0;
+        }
+      in
+      Dd.Markov.mixed_into v s mass m1 m2 rows 0;
       Array.iteri
         (fun i node ->
           let id = Dd.Add.node_id node in
@@ -242,23 +251,24 @@ let check_diagram name ~seed root =
           let rm, r1, r2 =
             Ref.node_moments tables id ~default:(default1, default2)
           in
-          let m, e1, e2 = Dd.Markov.mixed mass moments i ~default1 ~default2 in
-          bits_equal (what "mixed mass") rm m;
-          bits_equal (what "mixed E1") r1 e1;
-          bits_equal (what "mixed E2") r2 e2)
+          bits_equal (what "mixed mass") rm rows.m.(i);
+          bits_equal (what "mixed E1") r1 rows.e1.(i);
+          bits_equal (what "mixed E2") r2 rows.e2.(i))
         v.nodes;
       let _, expected, _ =
         Ref.node_moments tables (Dd.Add.node_id root) ~default:(0.0, 0.0)
       in
       bits_equal
         (fun () -> Printf.sprintf "%s expectation at (%g, %g)" name p.sp p.st)
-        expected (fst moments).(0);
+        expected m1.(0);
       (p, expected))
     (points seed)
 
 let check_model name ~seed model =
   let cap = model.Powermodel.Model.cap in
-  let expectations = check_diagram name ~seed cap in
+  let expectations =
+    check_diagram name ~seed model.Powermodel.Model.add_manager cap
+  in
   List.iter
     (fun ((p : Dd.Markov.statistics), expected) ->
       bits_equal
@@ -316,7 +326,9 @@ let random_diagrams =
   Util.qtest ~count:200 "random diagrams match the reference bit for bit"
     (QCheck.pair Test_add_stats.arbitrary QCheck.small_nat)
     (fun (spec, seed) ->
-      ignore (check_diagram "random" ~seed (Test_add_stats.build spec));
+      ignore
+        (check_diagram "random" ~seed Test_add_stats.mgr
+           (Test_add_stats.build spec));
       true)
 
 let suite =

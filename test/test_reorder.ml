@@ -363,41 +363,6 @@ let policy_names () =
         = Some p))
     Powermodel.Reorder.all
 
-(* ---- approx resift: same values as the unsifted compression ---- *)
-
-let approx_resift () =
-  let circuit =
-    match Circuits.Suite.find "cm85" with
-    | Some e -> e.Circuits.Suite.build ()
-    | None -> Alcotest.fail "cm85 missing from the suite"
-  in
-  let n = Netlist.Circuit.input_count circuit in
-  let build resift =
-    let model = Powermodel.Model.build circuit in
-    let mgr = model.Powermodel.Model.add_manager in
-    let c =
-      Dd.Approx.compress ~resift mgr ~strategy:Dd.Approx.Average
-        ~max_size:300 model.Powermodel.Model.cap
-    in
-    (mgr, c)
-  in
-  let _, plain = build false in
-  let mgr, sifted = build true in
-  if Dd.Add.size_in mgr sifted > Dd.Add.size plain then
-    Alcotest.failf "resift grew the compressed model: %d > %d"
-      (Dd.Add.size_in mgr sifted) (Dd.Add.size plain);
-  let prng = Stimulus.Prng.create 37 in
-  let vectors =
-    Stimulus.Generator.sequence prng ~bits:n ~length:60 ~sp:0.5 ~st:0.5
-  in
-  Array.iteri
-    (fun k x_f ->
-      let env = Powermodel.Vars.env ~x_i:vectors.(0) ~x_f in
-      bits_equal
-        (Printf.sprintf "resift value %d" k)
-        (Dd.Add.eval plain env) (Dd.Add.eval sifted env))
-    vectors
-
 let suite =
   [
     qcheck_add_sift;
@@ -415,5 +380,4 @@ let suite =
       compiled_across_policies;
     Alcotest.test_case "swap budget caps sifting" `Quick swap_budget_caps;
     Alcotest.test_case "policy plumbing" `Quick policy_names;
-    Alcotest.test_case "approx resift" `Quick approx_resift;
   ]
