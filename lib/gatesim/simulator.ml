@@ -42,13 +42,6 @@ let switched_capacitance_of_values t before after =
   done;
   !total
 
-let switched_capacitance t x_i x_f =
-  let before = eval t x_i and after = eval t x_f in
-  switched_capacitance_of_values t before after
-
-let energy ?(vdd = default_vdd) t x_i x_f =
-  vdd *. vdd *. switched_capacitance t x_i x_f
-
 type run = {
   patterns : int;          (** number of transitions simulated *)
   average : float;         (** mean switched capacitance per transition, fF *)
@@ -57,20 +50,82 @@ type run = {
   per_pattern : float array;
 }
 
+(* Work counters, one update per call: transitions accounted and netlist
+   word evaluations made for them. *)
+let transitions_metric = Obs.Metrics.metric "gatesim.transitions"
+
+let word_evals_metric = Obs.Metrics.metric "gatesim.word_evals"
+
+(* Word-parallel evaluation: lane j of an [int] carries vector j. *)
+let word_logic =
+  {
+    Netlist.Cell.ltrue = -1;
+    lfalse = 0;
+    lnot;
+    land_ = ( land );
+    lor_ = ( lor );
+    lxor_ = ( lxor );
+  }
+
+(* A sequence is cut into blocks of up to [Sys.int_size] consecutive
+   vectors, the next block starting on the last vector of this one, so
+   each transition lies inside exactly one block.  Net by net in
+   increasing order, the lanes of a block where the net rises add its
+   load to their transition, so every per-pattern sum is made of the
+   additions, in the order, of [switched_capacitance_of_values]. *)
 let run t vectors =
   let count = Array.length vectors in
   if count < 2 then invalid_arg "Simulator.run: need at least two vectors";
+  let circuit = t.circuit in
+  let n = Netlist.Circuit.input_count circuit in
   let per_pattern = Array.make (count - 1) 0.0 in
-  let values = ref (eval t vectors.(0)) in
-  let total = ref 0.0 and maximum = ref 0.0 in
-  for k = 1 to count - 1 do
-    let next = eval t vectors.(k) in
-    let c = switched_capacitance_of_values t !values next in
-    per_pattern.(k - 1) <- c;
-    total := !total +. c;
-    if c > !maximum then maximum := c;
-    values := next
+  let words = Array.make n 0 in
+  let evals = ref 0 in
+  let first = ref 0 in
+  while !first < count - 1 do
+    let s = !first in
+    let width = min Sys.int_size (count - s) in
+    Array.fill words 0 n 0;
+    for j = 0 to width - 1 do
+      let v = vectors.(s + j) in
+      (* [eval]'s message, for the first bad vector in sequence order *)
+      if Array.length v <> n then
+        invalid_arg
+          (Printf.sprintf "Circuit.eval_all: expected %d inputs, got %d" n
+             (Array.length v));
+      let bit = 1 lsl j in
+      for i = 0 to n - 1 do
+        if v.(i) then words.(i) <- words.(i) lor bit
+      done
+    done;
+    let value = Netlist.Circuit.eval_all word_logic circuit words in
+    incr evals;
+    (* lane j holds the transition s + j, for j < width - 1 *)
+    let mask = (1 lsl (width - 1)) - 1 in
+    for net = n to Array.length value - 1 do
+      let x = value.(net) in
+      let rising = ref (lnot x land (x lsr 1) land mask) in
+      if !rising <> 0 then begin
+        let load = t.loads.(net) in
+        let k = ref s in
+        while !rising <> 0 do
+          if !rising land 1 <> 0 then
+            per_pattern.(!k) <- per_pattern.(!k) +. load;
+          rising := !rising lsr 1;
+          incr k
+        done
+      end
+    done;
+    first := s + width - 1
   done;
+  Obs.Metrics.add transitions_metric (count - 1);
+  Obs.Metrics.add word_evals_metric !evals;
+  let total = ref 0.0 and maximum = ref 0.0 in
+  Array.iter
+    (fun c ->
+      total := !total +. c;
+      if c > !maximum then maximum := c)
+    per_pattern;
   {
     patterns = count - 1;
     average = !total /. float_of_int (count - 1);
@@ -78,6 +133,12 @@ let run t vectors =
     total = !total;
     per_pattern;
   }
+
+(* [x_i] in lane 0 and [x_f] in lane 1: one netlist evaluation. *)
+let switched_capacitance t x_i x_f = (run t [| x_i; x_f |]).per_pattern.(0)
+
+let energy ?(vdd = default_vdd) t x_i x_f =
+  vdd *. vdd *. switched_capacitance t x_i x_f
 
 let average_power ?(vdd = default_vdd) ~period run =
   (* femto-Farad * V^2 / s: returns femto-Joule / s when period is in s. *)

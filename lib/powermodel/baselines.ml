@@ -49,7 +49,17 @@ let estimate t ~x_i ~x_f =
   match t with
   | Con { value } -> value
   | Lin { coeffs } ->
-    Linalg.Lstsq.predict coeffs (transition_features x_i x_f)
+    (* [Lstsq.predict coeffs (transition_features x_i x_f)] without the
+       feature row: the same products, summed left to right from 0.0. *)
+    let n = Array.length x_i in
+    if Array.length coeffs <> n + 1 then
+      invalid_arg "Lstsq.predict: width mismatch";
+    let s = ref (0.0 +. (coeffs.(0) *. 1.0)) in
+    for k = 1 to n do
+      let a = if x_i.(k - 1) <> x_f.(k - 1) then 1.0 else 0.0 in
+      s := !s +. (coeffs.(k) *. a)
+    done;
+    !s
 
 type run = {
   patterns : int;

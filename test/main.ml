@@ -28,6 +28,7 @@ let () =
       ("blif", Test_blif.suite);
       ("netlist-errors", Test_netlist_errors.suite);
       ("sim", Test_sim.suite);
+      ("sim-ref", Test_sim_ref.suite);
       ("stimulus", Test_stimulus.suite);
       ("linalg", Test_linalg.suite);
       ("circuits", Test_circuits.suite);
